@@ -34,20 +34,33 @@ int64_t FlagSet::GetInt(const std::string& key, int64_t default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   auto parsed = ParseInt64(it->second);
-  return parsed.ok() ? parsed.value() : default_value;
+  if (parsed.ok()) return parsed.value();
+  malformed_.insert(key);
+  return default_value;
 }
 
 double FlagSet::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   auto parsed = ParseDouble(it->second);
-  return parsed.ok() ? parsed.value() : default_value;
+  if (parsed.ok()) return parsed.value();
+  malformed_.insert(key);
+  return default_value;
 }
 
 bool FlagSet::GetBool(const std::string& key, bool default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   return it->second != "false" && it->second != "0";
+}
+
+Status FlagSet::status() const {
+  if (malformed_.empty()) return Status::OK();
+  std::string message = "malformed flag value";
+  for (const std::string& key : malformed_) {
+    message += " --" + key + "='" + values_.at(key) + "'";
+  }
+  return Status::InvalidArgument(message);
 }
 
 }  // namespace mdrr

@@ -1,4 +1,5 @@
-// Minimal --key=value command-line flag parsing for benches and examples.
+// Minimal --key=value command-line flag parsing for the tools, benches
+// and examples.
 //
 // Example:
 //   FlagSet flags;
@@ -9,8 +10,12 @@
 #ifndef MDRR_COMMON_FLAGS_H_
 #define MDRR_COMMON_FLAGS_H_
 
+#include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+
+#include "mdrr/common/status.h"
 
 namespace mdrr {
 
@@ -23,15 +28,24 @@ class FlagSet {
   bool Has(const std::string& key) const;
 
   // Typed getters with defaults; a malformed value falls back to the
-  // default (benches should not crash on a typo'd flag).
+  // default and its key is recorded in malformed().
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& key, int64_t default_value) const;
   double GetDouble(const std::string& key, double default_value) const;
   bool GetBool(const std::string& key, bool default_value) const;
 
+  // Keys whose value failed to parse in a typed getter so far.
+  const std::set<std::string>& malformed() const { return malformed_; }
+
+  // OK, or InvalidArgument naming every malformed flag and its value.
+  // The tools check this after reading their flags and exit non-zero, so
+  // a typo'd privacy parameter never silently becomes the default.
+  Status status() const;
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> malformed_;
 };
 
 }  // namespace mdrr

@@ -6,7 +6,6 @@
 #include "mdrr/core/perturber.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/core/synthetic.h"
-#include "mdrr/stats/frequency.h"
 
 namespace mdrr {
 
@@ -16,113 +15,34 @@ namespace {
 // perturbation family at the same engine seed.
 constexpr uint64_t kSyntheticStreamSalt = 0x53594e5448455349ULL;  // "SYNTHESI"
 
-// Randomizes `input` through `matrix`, shard by shard. Under kMt19937,
-// shard s covers rows [s * shard_size, min(n, (s + 1) * shard_size)) and
-// draws exclusively from family.Stream(stream_base + s), so the output is
-// a pure function of (matrix, input, family, stream_base, shard_size).
-// Under kPhilox the shards are mere work slices: every element draws its
-// own counter block of philox stream `counter_stream` at the engine seed
-// (RandomizeRangeCounterInto), so the output is a pure function of
-// (matrix, input, seed, counter_stream) -- shard_size drops out entirely.
-// Counts are accumulated per *worker* (O(threads x r) memory, not
-// O(shards x r) -- joint domains can be huge) and merged after the join;
-// integer sums commute, so the totals are deterministic even though the
-// shard-to-worker assignment is not. The inner kernels are the
-// branch-predictable structured sweeps of rr_matrix.h, with the mixing
-// weight precomputed at matrix construction.
-PerturbedColumn PerturbColumnSharded(const RrMatrix& matrix,
-                                     const std::vector<uint32_t>& input,
-                                     const RngStreamFamily& family,
-                                     uint64_t stream_base, size_t shard_size,
-                                     size_t num_threads, RngKind kind,
-                                     uint64_t counter_stream,
-                                     const ColumnShardPerturber& hook) {
-  if (hook) {
-    // Externalized kernel (distributed coordinator): it receives the
-    // column's full randomness address and owns the determinism contract.
-    return hook(matrix, input, stream_base, counter_stream);
-  }
-  const size_t n = input.size();
-  PerturbedColumn result;
-  result.codes.resize(n);
-
-  // The frequency-oracle seam: the direct-encoding oracle's batched entry
-  // points delegate draw-for-draw to the RrMatrix kernels, so the sharded
-  // transcript is bit-identical to calling the matrix directly.
-  const DirectEncodingOracle oracle(matrix);
-  const size_t workers = ResolveWorkerCount(num_threads, n, shard_size);
-  std::vector<std::vector<int64_t>> worker_counts(
-      workers, std::vector<int64_t>(matrix.size(), 0));
-
-  ParallelChunks(n, shard_size, num_threads,
-                 [&](size_t worker, size_t shard, size_t begin, size_t end) {
-                   if (kind == RngKind::kPhilox) {
-                     oracle.AccumulateRangeCounter(
-                         input, begin, end, family.base_seed(), counter_stream,
-                         result.codes.data(), worker_counts[worker].data());
-                     return;
-                   }
-                   Rng rng = family.Stream(stream_base + shard);
-                   oracle.AccumulateRange(input, begin, end, rng,
-                                          result.codes.data(),
-                                          worker_counts[worker].data());
-                 });
-
-  stats::FrequencyTable total(std::vector<int64_t>(matrix.size(), 0));
-  for (std::vector<int64_t>& partial : worker_counts) {
-    total.Absorb(stats::FrequencyTable(std::move(partial)));
-  }
-  result.lambda = total.Proportions();
-  return result;
+// The randomness address of perturbed column `column_index` (the stream
+// layout in batch_engine.h).
+ColumnAddress ColumnAt(const BatchPerturbationOptions& options,
+                       size_t column_index, size_t num_rows) {
+  return ColumnAddress{
+      options.rng, options.seed,
+      1 + column_index * NumChunks(num_rows, options.shard_size),
+      1 + column_index};
 }
 
-// Fans a generic oracle backend over the shard grid with the SAME
-// randomness addressing as PerturbColumnSharded: mt19937 shard s draws
-// family.Stream(stream_base + s); philox records draw element blocks of
-// stream `counter_stream`. Frequency-only backends contribute support
-// counts without a microdata column.
-OracleColumnResult AccumulateOracleColumnSharded(
-    const FrequencyOracle& oracle, const std::vector<uint32_t>& input,
-    const RngStreamFamily& family, uint64_t stream_base, size_t shard_size,
-    size_t num_threads, RngKind kind, uint64_t counter_stream) {
-  const size_t n = input.size();
-  OracleColumnResult result;
-  const bool microdata = oracle.produces_microdata();
-  if (microdata) result.codes.resize(n);
-
-  const size_t workers = ResolveWorkerCount(num_threads, n, shard_size);
-  std::vector<std::vector<int64_t>> worker_counts(
-      workers, std::vector<int64_t>(oracle.domain_size(), 0));
-
-  ParallelChunks(n, shard_size, num_threads,
-                 [&](size_t worker, size_t shard, size_t begin, size_t end) {
-                   uint32_t* out =
-                       microdata ? result.codes.data() : nullptr;
-                   if (kind == RngKind::kPhilox) {
-                     oracle.AccumulateRangeCounter(
-                         input, begin, end, family.base_seed(), counter_stream,
-                         out, worker_counts[worker].data());
-                     return;
-                   }
-                   Rng rng = family.Stream(stream_base + shard);
-                   oracle.AccumulateRange(input, begin, end, rng, out,
-                                          worker_counts[worker].data());
-                 });
-
-  result.counts.assign(oracle.domain_size(), 0);
-  for (const std::vector<int64_t>& partial : worker_counts) {
-    for (size_t v = 0; v < partial.size(); ++v) {
-      result.counts[v] += partial[v];
-    }
+// Randomizes `input` through `matrix` at column `column_index`'s address.
+// The direct-encoding oracle delegates draw for draw to the RrMatrix
+// kernels, so the transcript is that of the matrix; an installed hook
+// (the distributed coordinator) receives the same address and owns the
+// determinism contract.
+PerturbedColumn PerturbColumnSharded(const RrMatrix& matrix,
+                                     const std::vector<uint32_t>& input,
+                                     size_t column_index,
+                                     const BatchPerturbationOptions& options) {
+  const ColumnAddress address = ColumnAt(options, column_index, input.size());
+  if (options.shard_perturber) {
+    return options.shard_perturber(matrix, input, address.stream_base,
+                                   address.counter_stream);
   }
-  result.lambda.assign(oracle.domain_size(), 0.0);
-  if (n > 0) {
-    for (size_t v = 0; v < result.counts.size(); ++v) {
-      result.lambda[v] = static_cast<double>(result.counts[v]) /
-                         static_cast<double>(n);
-    }
-  }
-  return result;
+  OracleColumnResult column =
+      AccumulateColumnSharded(DirectEncodingOracle(matrix), input, address,
+                              options.shard_size, options.num_threads);
+  return PerturbedColumn{std::move(column.codes), std::move(column.lambda)};
 }
 
 }  // namespace
@@ -140,50 +60,33 @@ size_t BatchPerturbationEngine::NumShards(size_t num_rows) const {
 OracleColumnResult BatchPerturbationEngine::RunOracle(
     const FrequencyOracle& oracle, const std::vector<uint32_t>& codes,
     size_t column_index) const {
-  const size_t num_shards = NumShards(codes.size());
-  RngStreamFamily family(options_.seed);
-  return AccumulateOracleColumnSharded(
-      oracle, codes, family, 1 + column_index * num_shards,
-      options_.shard_size, options_.num_threads, options_.rng,
-      /*counter_stream=*/1 + column_index);
+  return AccumulateColumnSharded(oracle, codes,
+                                 ColumnAt(options_, column_index, codes.size()),
+                                 options_.shard_size, options_.num_threads);
 }
 
 StatusOr<RrIndependentResult> BatchPerturbationEngine::RunIndependent(
     const Dataset& dataset, const RrIndependentOptions& options) const {
-  const size_t num_shards = NumShards(dataset.num_rows());
-  RngStreamFamily family(options_.seed);
   return RunRrIndependentWith(
       dataset, options,
-      [this, &family, num_shards](const RrMatrix& matrix,
-                                  const std::vector<uint32_t>& codes,
-                                  size_t column_index) {
-        return PerturbColumnSharded(matrix, codes, family,
-                                    1 + column_index * num_shards,
-                                    options_.shard_size, options_.num_threads,
-                                    options_.rng,
-                                    /*counter_stream=*/1 + column_index,
-                                    options_.shard_perturber);
+      [this](const RrMatrix& matrix, const std::vector<uint32_t>& codes,
+             size_t column_index) {
+        return PerturbColumnSharded(matrix, codes, column_index, options_);
       });
 }
 
 StatusOr<RrJointResult> BatchPerturbationEngine::RunJoint(
     const Dataset& dataset, const std::vector<size_t>& attributes,
     double epsilon) const {
-  RngStreamFamily family(options_.seed);
   MDRR_ASSIGN_OR_RETURN(
       RrJointPerturbation perturbation,
-      PerturbRrJoint(
-          dataset, attributes, epsilon,
-          [this, &family](const RrMatrix& matrix,
-                          const std::vector<uint32_t>& codes,
-                          size_t /*column_index*/) {
-            return PerturbColumnSharded(matrix, codes, family,
-                                        /*stream_base=*/1,
-                                        options_.shard_size,
-                                        options_.num_threads, options_.rng,
-                                        /*counter_stream=*/1,
-                                        options_.shard_perturber);
-          }));
+      PerturbRrJoint(dataset, attributes, epsilon,
+                     [this](const RrMatrix& matrix,
+                            const std::vector<uint32_t>& codes,
+                            size_t /*column_index*/) {
+                       return PerturbColumnSharded(matrix, codes, 0,
+                                                   options_);
+                     }));
   // Estimation never draws randomness, so routing it through the engine's
   // workers keeps the output bit-identical to the sequential path.
   return EstimateRrJoint(std::move(perturbation),
@@ -192,28 +95,22 @@ StatusOr<RrJointResult> BatchPerturbationEngine::RunJoint(
 
 StatusOr<RrClustersResult> BatchPerturbationEngine::RunClusters(
     const Dataset& dataset, const RrClustersOptions& options) const {
-  const size_t num_shards = NumShards(dataset.num_rows());
-  RngStreamFamily family(options_.seed);
-  Rng serial_rng = family.Stream(0);
+  Rng serial_rng = RngStreamFamily(options_.seed).Stream(0);
   DependenceEstimatorOptions assessment;
   assessment.rng = options_.rng;
   assessment.sharding.num_threads = options_.num_threads;
   assessment.sharding.record_chunk_size = options_.shard_size;
   return RunRrClustersWith(
       dataset, options, serial_rng,
-      [this, &dataset, &family, num_shards](
-          const std::vector<size_t>& cluster, double budget,
-          size_t cluster_index) {
+      [this, &dataset](const std::vector<size_t>& cluster, double budget,
+                       size_t cluster_index) {
         return PerturbRrJoint(
             dataset, cluster, budget,
-            [this, &family, num_shards, cluster_index](
-                const RrMatrix& matrix, const std::vector<uint32_t>& codes,
-                size_t /*column_index*/) {
-              return PerturbColumnSharded(
-                  matrix, codes, family, 1 + cluster_index * num_shards,
-                  options_.shard_size, options_.num_threads, options_.rng,
-                  /*counter_stream=*/1 + cluster_index,
-                  options_.shard_perturber);
+            [this, cluster_index](const RrMatrix& matrix,
+                                  const std::vector<uint32_t>& codes,
+                                  size_t /*column_index*/) {
+              return PerturbColumnSharded(matrix, codes, cluster_index,
+                                          options_);
             });
       },
       options_.num_threads, &assessment);

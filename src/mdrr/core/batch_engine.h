@@ -84,15 +84,6 @@ struct BatchPerturbationOptions {
   ColumnShardPerturber shard_perturber;
 };
 
-// One column's worth of oracle reports: support counts (exact integer
-// sums over all shards), their proportions, and -- for microdata-capable
-// backends only -- the randomized codes.
-struct OracleColumnResult {
-  std::vector<uint32_t> codes;  // Empty unless produces_microdata().
-  std::vector<int64_t> counts;
-  std::vector<double> lambda;  // counts / n (per-entry division).
-};
-
 class BatchPerturbationEngine {
  public:
   explicit BatchPerturbationEngine(const BatchPerturbationOptions& options);

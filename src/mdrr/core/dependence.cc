@@ -218,16 +218,49 @@ std::vector<int64_t> PairCountsSerial(const std::vector<uint32_t>& codes_a,
   return counts;
 }
 
-// Joint counts of one pair sharded over record ranges (per-worker
-// buffers merged by FrequencyTable::Absorb inside ShardedHistogram).
-std::vector<int64_t> PairCountsSharded(const std::vector<uint32_t>& codes_a,
-                                       const std::vector<uint32_t>& codes_b,
-                                       size_t cardinality_a,
-                                       size_t cardinality_b,
-                                       const DependenceShardingOptions& options,
-                                       size_t chunk_size) {
+}  // namespace
+
+std::vector<std::pair<size_t, size_t>> UpperTrianglePairs(size_t m) {
+  std::vector<std::pair<size_t, size_t>> pairs;
+  if (m >= 2) pairs.reserve(m * (m - 1) / 2);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = i + 1; j < m; ++j) pairs.emplace_back(i, j);
+  }
+  return pairs;
+}
+
+Status ForEachPair(
+    size_t num_pairs, size_t num_records,
+    const DependenceShardingOptions& options,
+    const std::function<Status(size_t pair, size_t worker,
+                               bool shard_records)>& job) {
+  const size_t chunk_size = std::max<size_t>(1, options.record_chunk_size);
+  if (num_pairs < 2 * ResolveWorkerCount(options.num_threads, num_records,
+                                         chunk_size)) {
+    for (size_t p = 0; p < num_pairs; ++p) {
+      MDRR_RETURN_IF_ERROR(job(p, /*worker=*/0, /*shard_records=*/true));
+    }
+    return Status::OK();
+  }
+  // An error cannot early-return across workers: statuses are collected
+  // per pair and reduced in pair order after the join.
+  std::vector<Status> failures(num_pairs, Status::OK());
+  ParallelChunks(num_pairs, /*chunk_size=*/1, options.num_threads,
+                 [&](size_t worker, size_t p, size_t /*begin*/,
+                     size_t /*end*/) {
+                   failures[p] = job(p, worker, /*shard_records=*/false);
+                 });
+  for (const Status& s : failures) MDRR_RETURN_IF_ERROR(s);
+  return Status::OK();
+}
+
+std::vector<int64_t> PairCountsSharded(
+    const std::vector<uint32_t>& codes_a, size_t cardinality_a,
+    const std::vector<uint32_t>& codes_b, size_t cardinality_b,
+    const DependenceShardingOptions& options) {
   return stats::ShardedHistogram(
-             codes_a.size(), cardinality_a * cardinality_b, chunk_size,
+             codes_a.size(), cardinality_a * cardinality_b,
+             std::max<size_t>(1, options.record_chunk_size),
              options.num_threads,
              [&](size_t i) {
                return codes_a[i] * cardinality_b + codes_b[i];
@@ -235,63 +268,40 @@ std::vector<int64_t> PairCountsSharded(const std::vector<uint32_t>& codes_a,
       .counts();
 }
 
-}  // namespace
-
 linalg::Matrix DependenceMatrixSharded(
     const Dataset& dataset, DependenceMeasure measure,
     const DependenceShardingOptions& options) {
   const size_t m = dataset.num_attributes();
   const size_t n = dataset.num_rows();
-  const size_t chunk_size = std::max<size_t>(1, options.record_chunk_size);
   linalg::Matrix deps(m, m, 0.0);
   for (size_t i = 0; i < m; ++i) deps(i, i) = 1.0;
   if (m < 2 || n == 0) return deps;
 
-  std::vector<std::pair<size_t, size_t>> pairs;
-  pairs.reserve(m * (m - 1) / 2);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = i + 1; j < m; ++j) pairs.emplace_back(i, j);
-  }
-
-  auto stat_for = [&](size_t i, size_t j,
-                      const std::vector<int64_t>& counts) {
-    const Attribute& a = dataset.attribute(i);
-    const Attribute& b = dataset.attribute(j);
-    return DependenceFromJointCounts(counts, a.cardinality(), a.type,
-                                     b.cardinality(), b.type,
-                                     static_cast<double>(n), measure);
-  };
-
-  // When the pair grid alone can feed every worker, shard pairs (each
-  // pair accumulated serially); otherwise shard each pair's record
-  // range. Both schemes produce the same integer counts, so the choice
-  // never changes the output.
-  const size_t workers = ResolveWorkerCount(options.num_threads, n, chunk_size);
-  if (pairs.size() >= 2 * workers) {
-    ParallelChunks(pairs.size(), 1, options.num_threads,
-                   [&](size_t /*worker*/, size_t pair_index, size_t /*begin*/,
-                       size_t /*end*/) {
-                     auto [i, j] = pairs[pair_index];
-                     std::vector<int64_t> counts = PairCountsSerial(
-                         dataset.column(i), dataset.column(j),
-                         dataset.attribute(i).cardinality(),
-                         dataset.attribute(j).cardinality());
-                     double d = stat_for(i, j, counts);
-                     // Distinct pairs write distinct (i, j)/(j, i) cells.
-                     deps(i, j) = d;
-                     deps(j, i) = d;
-                   });
-  } else {
-    for (auto [i, j] : pairs) {
-      std::vector<int64_t> counts = PairCountsSharded(
-          dataset.column(i), dataset.column(j),
-          dataset.attribute(i).cardinality(),
-          dataset.attribute(j).cardinality(), options, chunk_size);
-      double d = stat_for(i, j, counts);
-      deps(i, j) = d;
-      deps(j, i) = d;
-    }
-  }
+  // Both regimes produce the same integer counts, so the scheduler's
+  // choice never changes the output.
+  const std::vector<std::pair<size_t, size_t>> pairs = UpperTrianglePairs(m);
+  Status done = ForEachPair(
+      pairs.size(), n, options,
+      [&](size_t p, size_t /*worker*/, bool shard_records) {
+        auto [i, j] = pairs[p];
+        const Attribute& a = dataset.attribute(i);
+        const Attribute& b = dataset.attribute(j);
+        std::vector<int64_t> counts =
+            shard_records
+                ? PairCountsSharded(dataset.column(i), a.cardinality(),
+                                    dataset.column(j), b.cardinality(),
+                                    options)
+                : PairCountsSerial(dataset.column(i), dataset.column(j),
+                                   a.cardinality(), b.cardinality());
+        const double d = DependenceFromJointCounts(
+            counts, a.cardinality(), a.type, b.cardinality(), b.type,
+            static_cast<double>(n), measure);
+        // Distinct pairs write distinct (i, j)/(j, i) cells.
+        deps(i, j) = d;
+        deps(j, i) = d;
+        return Status::OK();
+      });
+  MDRR_CHECK(done.ok());
   return deps;
 }
 

@@ -6,8 +6,11 @@
 #define MDRR_CORE_DEPENDENCE_H_
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
+#include "mdrr/common/status.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/linalg/matrix.h"
 
@@ -60,11 +63,38 @@ struct DependenceShardingOptions {
   size_t record_chunk_size = 1 << 16;
 };
 
-// Sharded pairwise dependence matrix: the O(d^2) pair grid is split
-// across workers, and when the grid alone cannot feed every worker the
-// per-pair contingency accumulation is sharded over record ranges
-// instead, with per-worker count buffers merged by
-// stats::FrequencyTable::Absorb. Every statistic is computed from the
+// The row-major upper-triangle pair grid (i < j) of m attributes. Index
+// p of the list is the pair's position in every pair-ordered transcript
+// (the assessment estimators key pair p's randomness on stream 1 + p).
+std::vector<std::pair<size_t, size_t>> UpperTrianglePairs(size_t m);
+
+// The adaptive pair-grid scheduler of the dependence assessment: runs
+// job(pair, worker, shard_records) for every pair in [0, num_pairs). When
+// the grid can feed every record worker (num_pairs >= 2 x workers),
+// pairs run in parallel, each serially over its records; otherwise they
+// run one after another with `shard_records` set, each sharding its own
+// record scan over the options' threads and chunk size. Jobs must produce
+// the same output in both regimes, so the choice never changes results.
+// `worker` indexes per-worker scratch (below ResolveWorkerCount(
+// options.num_threads, num_pairs, 1)). Returns the first failing pair's
+// Status in pair order. Each pair runs at most once; the pair-serial
+// regime stops at the first failure.
+Status ForEachPair(
+    size_t num_pairs, size_t num_records,
+    const DependenceShardingOptions& options,
+    const std::function<Status(size_t pair, size_t worker,
+                               bool shard_records)>& job);
+
+// Joint counts of (codes_a[i], codes_b[i]), row-major [cardinality_a x
+// cardinality_b], sharded over record ranges with per-worker buffers.
+std::vector<int64_t> PairCountsSharded(
+    const std::vector<uint32_t>& codes_a, size_t cardinality_a,
+    const std::vector<uint32_t>& codes_b, size_t cardinality_b,
+    const DependenceShardingOptions& options);
+
+// Sharded pairwise dependence matrix: the pair grid runs through
+// ForEachPair, with PairCountsSharded accumulating a pair's contingency
+// table in the record-range regime. Every statistic is computed from the
 // pair's exact joint counts, so the output is a pure function of the
 // data and the measure -- independent of thread count and chunk size.
 // Cramér's V and NMI values are bitwise equal to the sequential

@@ -7,11 +7,11 @@
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
 #include "mdrr/core/estimator.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/privacy.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/domain.h"
 #include "mdrr/rng/rng.h"
-#include "mdrr/stats/frequency.h"
 
 namespace mdrr {
 
@@ -47,17 +47,6 @@ uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
              : a + b;
 }
 
-// The row-major upper-triangle pair grid; index p of this list is the
-// pair's stream key 1 + p (dependence_estimators.h addressing contract).
-std::vector<std::pair<size_t, size_t>> UpperTrianglePairs(size_t m) {
-  std::vector<std::pair<size_t, size_t>> pairs;
-  if (m >= 2) pairs.reserve(m * (m - 1) / 2);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = i + 1; j < m; ++j) pairs.emplace_back(i, j);
-  }
-  return pairs;
-}
-
 // The shared round-1 publication of the Section 4.1 assessment: every
 // attribute randomized through KeepUniform(|A|, p) on one sequential
 // stream -- the historical mt19937 transcript, byte-identical since the
@@ -88,22 +77,17 @@ Dataset PublishRandomizedRoundCounter(const Dataset& dataset,
                                       const DependenceShardingOptions& sharding,
                                       double* epsilon) {
   Dataset randomized = dataset;
-  const size_t n = dataset.num_rows();
-  const size_t chunk_size = std::max<size_t>(1, sharding.record_chunk_size);
   for (size_t j = 0; j < dataset.num_attributes(); ++j) {
-    size_t r = dataset.attribute(j).cardinality();
-    RrMatrix matrix = RrMatrix::KeepUniform(r, keep_probability);
-    const std::vector<uint32_t>& codes = dataset.column(j);
-    std::vector<uint32_t>& out = randomized.MutableColumn(j);
-    const uint64_t stream = 1 + static_cast<uint64_t>(j);
-    ParallelChunks(n, chunk_size, sharding.num_threads,
-                   [&](size_t /*worker*/, size_t /*chunk*/, size_t begin,
-                       size_t end) {
-                     matrix.RandomizeRangeCounterInto(codes, begin, end, seed,
-                                                      stream, out.data(),
-                                                      /*counts=*/nullptr);
-                   });
-    *epsilon += matrix.Epsilon();
+    const DirectEncodingOracle oracle(RrMatrix::KeepUniform(
+        dataset.attribute(j).cardinality(), keep_probability));
+    randomized.MutableColumn(j) =
+        AccumulateColumnSharded(
+            oracle, dataset.column(j),
+            ColumnAddress{RngKind::kPhilox, seed, 0, 1 + uint64_t{j}},
+            std::max<size_t>(1, sharding.record_chunk_size),
+            sharding.num_threads)
+            .codes;
+    *epsilon += oracle.epsilon();
   }
   return randomized;
 }
@@ -163,83 +147,40 @@ StatusOr<DependenceEstimate> SecureSumDependences(
   linalg::Matrix deps(m, m, 0.0);
   for (size_t i = 0; i < m; ++i) deps(i, i) = 1.0;
   const std::vector<std::pair<size_t, size_t>> pairs = UpperTrianglePairs(m);
-  const size_t chunk_size =
-      std::max<size_t>(1, options.sharding.record_chunk_size);
 
-  // One pair, serially, on its own oracle stream 1 + p.
-  auto pair_dependence = [&](size_t p) -> StatusOr<double> {
-    auto [i, j] = pairs[p];
-    const Attribute& a = dataset.attribute(i);
-    const Attribute& b = dataset.attribute(j);
-    std::vector<int64_t> counts;
-    MDRR_ASSIGN_OR_RETURN(
-        counts, oracle.BivariateCounts(
-                    dataset.column(i), a.cardinality(), dataset.column(j),
-                    b.cardinality(),
-                    /*pair_stream=*/1 + static_cast<uint64_t>(p)));
-    std::vector<double> joint(counts.begin(), counts.end());
-    return DependenceFromJoint(joint, a.cardinality(), a.type,
-                               b.cardinality(), b.type,
-                               static_cast<double>(n));
-  };
-
-  // The adaptive pair-grid/record-range split of DependenceMatrixSharded:
-  // when the grid can feed every worker, shard pairs (each serial on its
-  // own stream); otherwise shard each fast-simulation pair's record scan
-  // -- the secure sums are exact, so the sharded joint histogram is
-  // bitwise the protocol output -- while literal pairs run serially (the
-  // share-exchange transcript is per pair). Both schemes produce the
-  // same counts, so the choice never changes the output.
-  const size_t workers =
-      ResolveWorkerCount(options.sharding.num_threads, n, chunk_size);
-  if (pairs.size() >= 2 * workers) {
-    // Statuses are collected per pair and checked after the join (an
-    // error cannot early-return across workers); distinct pairs write
-    // distinct (i, j)/(j, i) cells.
-    std::vector<Status> failures(pairs.size(), Status::OK());
-    ParallelChunks(pairs.size(), /*chunk_size=*/1,
-                   options.sharding.num_threads,
-                   [&](size_t /*worker*/, size_t p, size_t /*begin*/,
-                       size_t /*end*/) {
-                     StatusOr<double> d = pair_dependence(p);
-                     if (!d.ok()) {
-                       failures[p] = d.status();
-                       return;
-                     }
-                     auto [i, j] = pairs[p];
-                     deps(i, j) = d.value();
-                     deps(j, i) = d.value();
-                   });
-    for (const Status& s : failures) {
-      if (!s.ok()) return s;
-    }
-  } else {
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      auto [i, j] = pairs[p];
-      double d = 0.0;
-      if (mode == mpc::SimulationMode::kFastSimulation) {
+  // Pair p runs on its own oracle stream 1 + p. In the record-range
+  // regime fast-simulation pairs shard their record scan -- the secure
+  // sums are exact, so the sharded joint histogram is bitwise the
+  // protocol output -- while literal pairs stay serial (the share-exchange
+  // transcript is per pair).
+  MDRR_RETURN_IF_ERROR(ForEachPair(
+      pairs.size(), n, options.sharding,
+      [&](size_t p, size_t /*worker*/, bool shard_records) -> Status {
+        auto [i, j] = pairs[p];
         const Attribute& a = dataset.attribute(i);
         const Attribute& b = dataset.attribute(j);
-        const std::vector<uint32_t>& col_a = dataset.column(i);
-        const std::vector<uint32_t>& col_b = dataset.column(j);
-        const size_t card_b = b.cardinality();
-        std::vector<int64_t> counts =
-            stats::ShardedHistogram(n, a.cardinality() * card_b, chunk_size,
-                                    options.sharding.num_threads,
-                                    [&](size_t row) {
-                                      return col_a[row] * card_b + col_b[row];
-                                    })
-                .counts();
+        std::vector<int64_t> counts;
+        if (shard_records && mode == mpc::SimulationMode::kFastSimulation) {
+          counts = PairCountsSharded(dataset.column(i), a.cardinality(),
+                                     dataset.column(j), b.cardinality(),
+                                     options.sharding);
+        } else {
+          MDRR_ASSIGN_OR_RETURN(
+              counts, oracle.BivariateCounts(
+                          dataset.column(i), a.cardinality(),
+                          dataset.column(j), b.cardinality(),
+                          /*pair_stream=*/1 + static_cast<uint64_t>(p)));
+        }
         std::vector<double> joint(counts.begin(), counts.end());
-        d = DependenceFromJoint(joint, a.cardinality(), a.type, card_b,
-                                b.type, static_cast<double>(n));
-      } else {
-        MDRR_ASSIGN_OR_RETURN(d, pair_dependence(p));
-      }
-      deps(i, j) = d;
-      deps(j, i) = d;
-    }
-  }
+        const double d =
+            DependenceFromJoint(joint, a.cardinality(), a.type,
+                                b.cardinality(), b.type,
+                                static_cast<double>(n));
+        // Distinct pairs write distinct (i, j)/(j, i) cells.
+        deps(i, j) = d;
+        deps(j, i) = d;
+        return Status::OK();
+      }));
 
   uint64_t messages = 0;
   for (auto [i, j] : pairs) {
@@ -256,13 +197,6 @@ StatusOr<DependenceEstimate> SecureSumDependences(
   return result;
 }
 
-StatusOr<DependenceEstimate> SecureSumDependences(const Dataset& dataset,
-                                                  mpc::SimulationMode mode,
-                                                  uint64_t seed) {
-  return SecureSumDependences(dataset, mode, seed,
-                              DependenceEstimatorOptions{});
-}
-
 StatusOr<DependenceEstimate> PairwiseRrDependences(
     const Dataset& dataset, double keep_probability, mpc::SimulationMode mode,
     uint64_t seed, const DependenceEstimatorOptions& options) {
@@ -276,8 +210,6 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
   linalg::Matrix deps(m, m, 0.0);
   for (size_t i = 0; i < m; ++i) deps(i, i) = 1.0;
   const std::vector<std::pair<size_t, size_t>> pairs = UpperTrianglePairs(m);
-  const size_t chunk_size =
-      std::max<size_t>(1, options.sharding.record_chunk_size);
   const bool fast = mode == mpc::SimulationMode::kFastSimulation;
 
   // Reused per-worker scratch: composing, masking and the lambda
@@ -290,6 +222,8 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
     std::vector<double> lambda;
   };
 
+  std::vector<PairScratch> scratches(ResolveWorkerCount(
+      options.sharding.num_threads, pairs.size(), /*chunk_size=*/1));
   // Epsilon per pair, filled by whichever regime ran the pair; reduced
   // in pair order after the join.
   std::vector<double> pair_epsilon(pairs.size(), 0.0);
@@ -298,9 +232,11 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
   // aggregate the masked distribution, recover the joint with Eq. (2).
   // `shard_records` shards the compose/mask/count scan over record
   // ranges where the draw plan permits (philox masking is
-  // element-addressed; mt19937 masking stays a sequential stream).
-  auto run_pair = [&](size_t p, PairScratch& scratch,
-                      bool shard_records) -> StatusOr<double> {
+  // element-addressed; mt19937 masking stays a sequential stream). Both
+  // scheduler regimes produce identical masked columns and counts per
+  // pair, so the choice never changes the output.
+  auto run_pair = [&](size_t p, size_t worker, bool shard_records) -> Status {
+    PairScratch& scratch = scratches[worker];
     auto [i, j] = pairs[p];
     const Attribute& a = dataset.attribute(i);
     const Attribute& b = dataset.attribute(j);
@@ -333,6 +269,8 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
       // (element-addressed draws make any grain bit-identical); fused
       // per-worker count buffers merge after the join -- integer adds
       // commute, so the merge order is free.
+      const size_t chunk_size =
+          std::max<size_t>(1, options.sharding.record_chunk_size);
       const size_t record_workers = ResolveWorkerCount(
           options.sharding.num_threads, n, chunk_size);
       std::vector<std::vector<int64_t>> worker_counts(
@@ -386,48 +324,14 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
     std::vector<double> joint;
     MDRR_ASSIGN_OR_RETURN(
         joint, EstimateProjectedDistribution(matrix, scratch.lambda));
-    return DependenceFromJoint(joint, a.cardinality(), a.type,
-                               b.cardinality(), b.type,
-                               static_cast<double>(n));
+    // Distinct pairs write distinct (i, j)/(j, i) cells.
+    deps(i, j) = deps(j, i) =
+        DependenceFromJoint(joint, a.cardinality(), a.type, b.cardinality(),
+                            b.type, static_cast<double>(n));
+    return Status::OK();
   };
-
-  // Same adaptive split as SecureSumDependences; both regimes produce
-  // identical masked columns and counts per pair, so the choice never
-  // changes the output.
-  const size_t workers =
-      ResolveWorkerCount(options.sharding.num_threads, n, chunk_size);
-  if (pairs.size() >= 2 * workers) {
-    const size_t grid_workers = ResolveWorkerCount(
-        options.sharding.num_threads, pairs.size(), /*chunk_size=*/1);
-    std::vector<PairScratch> scratch(grid_workers);
-    std::vector<Status> failures(pairs.size(), Status::OK());
-    ParallelChunks(pairs.size(), /*chunk_size=*/1,
-                   options.sharding.num_threads,
-                   [&](size_t worker, size_t p, size_t /*begin*/,
-                       size_t /*end*/) {
-                     StatusOr<double> d =
-                         run_pair(p, scratch[worker], /*shard_records=*/false);
-                     if (!d.ok()) {
-                       failures[p] = d.status();
-                       return;
-                     }
-                     auto [i, j] = pairs[p];
-                     deps(i, j) = d.value();
-                     deps(j, i) = d.value();
-                   });
-    for (const Status& s : failures) {
-      if (!s.ok()) return s;
-    }
-  } else {
-    PairScratch scratch;
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      StatusOr<double> d = run_pair(p, scratch, /*shard_records=*/true);
-      if (!d.ok()) return d.status();
-      auto [i, j] = pairs[p];
-      deps(i, j) = d.value();
-      deps(j, i) = d.value();
-    }
-  }
+  MDRR_RETURN_IF_ERROR(
+      ForEachPair(pairs.size(), n, options.sharding, run_pair));
 
   uint64_t messages = 0;
   double max_pair_epsilon = 0.0;
@@ -447,14 +351,6 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
   result.epsilon = max_pair_epsilon;
   result.messages = messages;
   return result;
-}
-
-StatusOr<DependenceEstimate> PairwiseRrDependences(const Dataset& dataset,
-                                                   double keep_probability,
-                                                   mpc::SimulationMode mode,
-                                                   uint64_t seed) {
-  return PairwiseRrDependences(dataset, keep_probability, mode, seed,
-                               DependenceEstimatorOptions{});
 }
 
 }  // namespace mdrr

@@ -92,21 +92,17 @@ DependenceEstimate RandomizedResponseDependencesSharded(
 // unlinkability of pairs. `mode` selects literal vs fast simulation.
 //
 // Pair p's share draws live on stream 1 + p of the oracle (see
-// DependenceEstimatorOptions), so the pair grid shards: when the grid
-// can feed every worker each pair runs serially on its own stream, and
-// otherwise (few pairs, many records) fast-simulation pairs shard their
-// record scan -- the secure sums are exact, so the sharded histogram IS
-// the protocol output -- while literal pairs stay serial (the share
-// exchange transcript is per pair). Output is bit-identical at every
-// thread count and shard grain under both RNG policies.
+// DependenceEstimatorOptions), so the pair grid runs through ForEachPair
+// (dependence.h): in the pair-grid regime each pair runs serially on its
+// own stream; in the record-range regime fast-simulation pairs shard
+// their record scan -- the secure sums are exact, so the sharded
+// histogram IS the protocol output -- while literal pairs stay serial
+// (the share exchange transcript is per pair). Output is bit-identical at
+// every thread count and shard grain under both RNG policies. The
+// default options are one worker with mt19937 shares.
 StatusOr<DependenceEstimate> SecureSumDependences(
     const Dataset& dataset, mpc::SimulationMode mode, uint64_t seed,
-    const DependenceEstimatorOptions& options);
-
-// Sequential back-compat form (options = one worker, mt19937 shares).
-StatusOr<DependenceEstimate> SecureSumDependences(const Dataset& dataset,
-                                                  mpc::SimulationMode mode,
-                                                  uint64_t seed);
+    const DependenceEstimatorOptions& options = {});
 
 // Section 4.3: every attribute *pair* is masked with KeepUniform RR over
 // the pair domain, aggregated by secure sum, and the true bivariate
@@ -116,21 +112,15 @@ StatusOr<DependenceEstimate> SecureSumDependences(const Dataset& dataset,
 // epsilon rather than the sum (Section 4.3).
 //
 // Pair p masks on stream 1 + p of `seed` and draws shares on stream
-// 1 + p of the salted oracle seed. The adaptive split mirrors
-// SecureSumDependences; in the record-range regime kPhilox masking
-// shards too (element-addressed draws), while kMt19937 masking is
-// drawn sequentially per pair and only the counting shards. Output is
-// bit-identical at every thread count and shard grain under both RNG
-// policies.
+// 1 + p of the salted oracle seed. The pair grid runs through
+// ForEachPair; in the record-range regime kPhilox masking shards too
+// (element-addressed draws), while kMt19937 masking is drawn
+// sequentially per pair. Output is bit-identical at every thread count
+// and shard grain under both RNG policies. The default options are one
+// worker with mt19937 draws.
 StatusOr<DependenceEstimate> PairwiseRrDependences(
     const Dataset& dataset, double keep_probability, mpc::SimulationMode mode,
-    uint64_t seed, const DependenceEstimatorOptions& options);
-
-// Sequential back-compat form (options = one worker, mt19937 draws).
-StatusOr<DependenceEstimate> PairwiseRrDependences(const Dataset& dataset,
-                                                   double keep_probability,
-                                                   mpc::SimulationMode mode,
-                                                   uint64_t seed);
+    uint64_t seed, const DependenceEstimatorOptions& options = {});
 
 }  // namespace mdrr
 

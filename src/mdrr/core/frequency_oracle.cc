@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "mdrr/common/check.h"
+#include "mdrr/common/parallel.h"
 #include "mdrr/core/estimator.h"
 
 namespace mdrr {
@@ -18,6 +19,17 @@ size_t OlhNumBuckets(double epsilon) {
   constexpr double kMaxBuckets = 1 << 20;
   const double raw = std::floor(std::exp(std::min(epsilon, 30.0))) + 1.0;
   return static_cast<size_t>(std::max(2.0, std::min(raw, kMaxBuckets)));
+}
+
+// counts / n entry by entry (all zeros for n = 0).
+std::vector<double> Proportions(const std::vector<int64_t>& counts,
+                                size_t n) {
+  std::vector<double> lambda(counts.size(), 0.0);
+  if (n == 0) return lambda;
+  for (size_t v = 0; v < counts.size(); ++v) {
+    lambda[v] = static_cast<double>(counts[v]) / static_cast<double>(n);
+  }
+  return lambda;
 }
 
 }  // namespace
@@ -66,11 +78,7 @@ StatusOr<std::vector<double>> FrequencyOracle::EstimateFrequencies(
   if (n <= 0) {
     return Status::InvalidArgument("sample size must be positive");
   }
-  std::vector<double> lambda(r_);
-  for (size_t v = 0; v < r_; ++v) {
-    lambda[v] = static_cast<double>(counts[v]) / static_cast<double>(n);
-  }
-  return EstimateFromLambda(lambda);
+  return EstimateFromLambda(Proportions(counts, static_cast<size_t>(n)));
 }
 
 double FrequencyOracle::TheoreticalVariance(double pi_v, int64_t n) const {
@@ -291,6 +299,54 @@ void LocalHashingOracle::AccumulateRangeCounter(
       }
     }
   }
+}
+
+OracleColumnResult AccumulateColumn(const FrequencyOracle& oracle,
+                                    const std::vector<uint32_t>& codes,
+                                    Rng& rng) {
+  OracleColumnResult result;
+  if (oracle.produces_microdata()) result.codes.resize(codes.size());
+  result.counts.assign(oracle.domain_size(), 0);
+  oracle.AccumulateRange(codes, 0, codes.size(), rng,
+                         result.codes.empty() ? nullptr : result.codes.data(),
+                         result.counts.data());
+  result.lambda = Proportions(result.counts, codes.size());
+  return result;
+}
+
+OracleColumnResult AccumulateColumnSharded(const FrequencyOracle& oracle,
+                                           const std::vector<uint32_t>& codes,
+                                           const ColumnAddress& address,
+                                           size_t grain, size_t num_threads) {
+  const size_t n = codes.size();
+  OracleColumnResult result;
+  if (oracle.produces_microdata()) result.codes.resize(n);
+  uint32_t* out = result.codes.empty() ? nullptr : result.codes.data();
+  const RngStreamFamily family(address.seed);
+  // Per-worker buffers: O(threads x r) memory, not O(chunks x r) -- joint
+  // domains can be huge.
+  std::vector<std::vector<int64_t>> worker_counts(
+      ResolveWorkerCount(num_threads, n, grain),
+      std::vector<int64_t>(oracle.domain_size(), 0));
+  ParallelChunks(n, grain, num_threads,
+                 [&](size_t worker, size_t chunk, size_t begin, size_t end) {
+                   int64_t* counts = worker_counts[worker].data();
+                   if (address.rng == RngKind::kPhilox) {
+                     oracle.AccumulateRangeCounter(codes, begin, end,
+                                                   address.seed,
+                                                   address.counter_stream,
+                                                   out, counts);
+                     return;
+                   }
+                   Rng rng = family.Stream(address.stream_base + chunk);
+                   oracle.AccumulateRange(codes, begin, end, rng, out, counts);
+                 });
+  result.counts.assign(oracle.domain_size(), 0);
+  for (const std::vector<int64_t>& partial : worker_counts) {
+    for (size_t v = 0; v < partial.size(); ++v) result.counts[v] += partial[v];
+  }
+  result.lambda = Proportions(result.counts, n);
+  return result;
 }
 
 StatusOr<std::unique_ptr<FrequencyOracle>> MakeFrequencyOracle(

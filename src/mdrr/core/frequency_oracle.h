@@ -264,6 +264,43 @@ class LocalHashingOracle : public FrequencyOracle {
   RrMatrix grr_;   // GRR over the g buckets at the same epsilon.
 };
 
+// One column's worth of oracle reports: support counts (exact integer
+// sums), their proportions counts / n (per-entry division), and -- for
+// microdata-capable backends only -- the randomized codes.
+struct OracleColumnResult {
+  std::vector<uint32_t> codes;  // Empty unless produces_microdata().
+  std::vector<int64_t> counts;
+  std::vector<double> lambda;
+};
+
+// Where a column's randomness lives, in the batch engine's layout
+// (batch_engine.h). Under kMt19937 chunk s of the column draws
+// RngStreamFamily(seed).Stream(stream_base + s) in record order, so the
+// chunk grain is part of the transcript. Under kPhilox record i draws
+// its own element blocks of counter stream (seed, counter_stream), so
+// the grain drops out as well.
+struct ColumnAddress {
+  RngKind rng = RngKind::kMt19937;
+  uint64_t seed = 0;
+  uint64_t stream_base = 0;
+  uint64_t counter_stream = 0;
+};
+
+// Fused randomize+count of the whole column, drawing sequentially from
+// `rng` (AccumulateRange over [0, n)).
+OracleColumnResult AccumulateColumn(const FrequencyOracle& oracle,
+                                    const std::vector<uint32_t>& codes,
+                                    Rng& rng);
+
+// The sharded perturb+count fan: `grain`-record chunks run on
+// `num_threads` workers (0 = one per core) at `address`, each worker
+// counting into its own buffer, merged after the join. Integer sums
+// commute, so the result is bit-identical for any thread count.
+OracleColumnResult AccumulateColumnSharded(const FrequencyOracle& oracle,
+                                           const std::vector<uint32_t>& codes,
+                                           const ColumnAddress& address,
+                                           size_t grain, size_t num_threads);
+
 // Constructs the backend at (r, epsilon). Fails on r < 2 or a
 // non-finite / non-positive epsilon.
 StatusOr<std::unique_ptr<FrequencyOracle>> MakeFrequencyOracle(

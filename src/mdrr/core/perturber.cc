@@ -1,5 +1,7 @@
 #include "mdrr/core/perturber.h"
 
+#include <utility>
+
 #include "mdrr/core/frequency_oracle.h"
 
 namespace mdrr {
@@ -7,27 +9,21 @@ namespace mdrr {
 ColumnPerturber SequentialPerturber(Rng& rng) {
   return [&rng](const RrMatrix& matrix, const std::vector<uint32_t>& codes,
                 size_t /*column_index*/) {
-    PerturbedColumn result;
-    result.codes.resize(codes.size());
     // Fused perturb+count through the frequency-oracle seam: the direct-
     // encoding oracle delegates draw-for-draw to RandomizeRangeInto, so
-    // the frequency of each output category is accumulated inside the
-    // randomization sweep and the column is traversed once. λ̂ is then
-    // counts * (1/n) -- the exact arithmetic EmpiricalDistribution
-    // performs (reciprocal multiply, not per-entry division), so
-    // estimates are bit-identical to the unfused path.
-    DirectEncodingOracle oracle(matrix);
-    std::vector<int64_t> counts(matrix.size(), 0);
-    oracle.AccumulateRange(codes, 0, codes.size(), rng, result.codes.data(),
-                           counts.data());
-    result.lambda.assign(matrix.size(), 0.0);
+    // the column is traversed once. λ̂ is counts * (1/n) -- the exact
+    // arithmetic EmpiricalDistribution performs (reciprocal multiply, not
+    // per-entry division), so estimates are bit-identical to the unfused
+    // path.
+    OracleColumnResult column =
+        AccumulateColumn(DirectEncodingOracle(matrix), codes, rng);
     if (!codes.empty()) {
       const double inv_n = 1.0 / static_cast<double>(codes.size());
-      for (size_t v = 0; v < counts.size(); ++v) {
-        result.lambda[v] = static_cast<double>(counts[v]) * inv_n;
+      for (size_t v = 0; v < column.counts.size(); ++v) {
+        column.lambda[v] = static_cast<double>(column.counts[v]) * inv_n;
       }
     }
-    return result;
+    return PerturbedColumn{std::move(column.codes), std::move(column.lambda)};
   };
 }
 

@@ -196,6 +196,15 @@ class RrMatrix {
                                  uint64_t stream, uint32_t* out,
                                  int64_t* counts) const;
 
+  // Slice form of the same kernel: codes[k] for k in [0, n) is element
+  // first_element + k of the stream and lands in out[k]. A slice holding
+  // codes [b, e) of a column at first_element = b produces exactly
+  // out[b, e) of the column form, which forwards here.
+  void RandomizeRangeCounterInto(const uint32_t* codes, size_t n,
+                                 uint64_t first_element, uint64_t seed,
+                                 uint64_t stream, uint32_t* out,
+                                 int64_t* counts) const;
+
   // Single-element counter draw: exactly what RandomizeRangeCounterInto
   // computes for `element`, exposed for per-report paths (streaming
   // ingest randomizes one record's attributes without buffering a

@@ -74,12 +74,10 @@ StatusOr<OracleComparisonReport> BuildOracleComparisonReport(
           MakeFrequencyOracle(row.backend, r, options.epsilon));
 
       Rng rng = family.Stream(b * m + j);
-      std::vector<int64_t> counts(oracle->domain_size(), 0);
-      oracle->AccumulateRange(column, 0, n, rng, /*out=*/nullptr,
-                              counts.data());
       MDRR_ASSIGN_OR_RETURN(
           std::vector<double> raw,
-          oracle->EstimateFrequencies(counts, static_cast<int64_t>(n)));
+          oracle->EstimateFromLambda(
+              AccumulateColumn(*oracle, column, rng).lambda));
       std::vector<double> estimated = ProjectToSimplex(raw);
 
       const std::vector<double> truth = EmpiricalDistribution(column, r);

@@ -44,14 +44,10 @@ StatusOr<PartialResultMsg> ComputeAssignment(const AssignShardsMsg& msg) {
                                 out.codes.data(), result.counts.data());
     } else {
       // Element-addressed draws: global index, not slice-local.
-      for (size_t k = 0; k < shard.codes.size(); ++k) {
-        uint32_t y =
-            matrix.RandomizeCounter(shard.codes[k], msg.seed,
-                                    msg.counter_stream,
-                                    shard.global_begin + k);
-        out.codes[k] = y;
-        ++result.counts[y];
-      }
+      matrix.RandomizeRangeCounterInto(
+          shard.codes.data(), shard.codes.size(), shard.global_begin,
+          msg.seed, msg.counter_stream, out.codes.data(),
+          result.counts.data());
     }
     result.shards.push_back(std::move(out));
   }

@@ -11,9 +11,8 @@
 //             a fresh generator per shard consumed in record order,
 //             exactly the engine's kernel.
 //   kPhilox:  element k of the slice is element (global_begin + k) of
-//             counter stream (seed, counter_stream) via RandomizeCounter,
-//             which is documented bit-equal to what the engine's
-//             RandomizeRangeCounterInto computes for that global index.
+//             counter stream (seed, counter_stream): the slice form of
+//             the engine's RandomizeRangeCounterInto tile kernel.
 
 #ifndef MDRR_NET_WORKER_H_
 #define MDRR_NET_WORKER_H_

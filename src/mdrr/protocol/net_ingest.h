@@ -13,8 +13,7 @@
 // the collector never learns how reports traveled.
 //
 // StreamReportsOverSocket is the client side: it perturbs dataset rows
-// exactly like RunStreamingReplay's producers (mt19937: report s draws
-// from RngStreamFamily(seed).Stream(s); philox: stream s, element j)
+// through the same PerturbStreamReport as RunStreamingReplay's producers
 // and ships them in contiguous batches.
 //
 // Multi-connection ingest (several parties submitting concurrently)

@@ -5,6 +5,7 @@
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/protocol/party_block.h"
 #include "mdrr/release/planner.h"
 #include "mdrr/stats/frequency.h"
@@ -277,19 +278,18 @@ StatusOr<SessionResult> RunCounterSession(
   SessionResult result;
 
   // Round 1: per-attribute publication, one counter stream per attribute.
+  // Each design moves into its oracle: the matrices are not used again.
   std::vector<RrMatrix> round1_matrices =
       DesignRound1Matrices(dataset, options, &result);
-  std::vector<std::vector<uint32_t>> round1_columns(
-      m, std::vector<uint32_t>(n));
+  std::vector<std::vector<uint32_t>> round1_columns(m);
   for (size_t j = 0; j < m; ++j) {
-    const std::vector<uint32_t>& column = dataset.column(j);
-    ParallelChunks(n, shard_size, threads,
-                   [&](size_t /*worker*/, size_t /*shard*/, size_t begin,
-                       size_t end) {
-                     round1_matrices[j].RandomizeRangeCounterInto(
-                         column, begin, end, seed, kRound1StreamBase + j,
-                         round1_columns[j].data(), /*counts=*/nullptr);
-                   });
+    round1_columns[j] =
+        AccumulateColumnSharded(
+            DirectEncodingOracle(std::move(round1_matrices[j])),
+            dataset.column(j),
+            ColumnAddress{RngKind::kPhilox, seed, 0, kRound1StreamBase + j},
+            shard_size, threads)
+            .codes;
   }
   Dataset round1_data(dataset.schema(), std::move(round1_columns));
   result.messages_round1 = n;
@@ -299,56 +299,30 @@ StatusOr<SessionResult> RunCounterSession(
   result.messages_broadcast = n;
 
   // Round 2: composite codes per cluster, one counter stream per cluster,
-  // with the controller's counting fused into the randomization pass
-  // (per-worker integer buffers; sums commute, so totals are independent
-  // of the shard-to-worker assignment).
+  // with the controller's counting fused into the randomization pass.
   MDRR_ASSIGN_OR_RETURN(
       std::vector<RrMatrix> cluster_matrices,
       DesignClusterMatrices(dataset, options, &result));
   result.messages_round2 = n;
   result.randomized = dataset;
-  std::vector<uint32_t> true_codes(n);
-  std::vector<uint32_t> codes(n);
   for (size_t c = 0; c < result.clusters.size(); ++c) {
     const Domain& domain = result.cluster_domains[c];
     const std::vector<size_t>& cluster = result.clusters[c];
-    const size_t r = cluster_matrices[c].size();
-
-    ParallelChunks(n, shard_size, threads,
-                   [&](size_t /*worker*/, size_t /*shard*/, size_t begin,
-                       size_t end) {
-                     std::vector<uint32_t> tuple(cluster.size());
-                     for (size_t i = begin; i < end; ++i) {
-                       for (size_t k = 0; k < cluster.size(); ++k) {
-                         tuple[k] = dataset.at(i, cluster[k]);
-                       }
-                       true_codes[i] =
-                           static_cast<uint32_t>(domain.Encode(tuple));
-                     }
-                   });
-
-    const size_t workers = ResolveWorkerCount(threads, n, shard_size);
-    std::vector<std::vector<int64_t>> worker_counts(
-        workers, std::vector<int64_t>(r, 0));
-    ParallelChunks(n, shard_size, threads,
-                   [&](size_t worker, size_t /*shard*/, size_t begin,
-                       size_t end) {
-                     cluster_matrices[c].RandomizeRangeCounterInto(
-                         true_codes, begin, end, seed, kRound2StreamBase + c,
-                         codes.data(), worker_counts[worker].data());
-                   });
-    stats::FrequencyTable total(std::vector<int64_t>(r, 0));
-    for (std::vector<int64_t>& partial : worker_counts) {
-      total.Absorb(stats::FrequencyTable(std::move(partial)));
-    }
-
+    const DirectEncodingOracle oracle(std::move(cluster_matrices[c]));
+    OracleColumnResult published = AccumulateColumnSharded(
+        oracle, domain.ComposeColumns(dataset, cluster),
+        ColumnAddress{RngKind::kPhilox, seed, 0, kRound2StreamBase + c},
+        shard_size, threads);
     MDRR_ASSIGN_OR_RETURN(
         std::vector<double> estimated,
-        controller.EstimateFromCounts(cluster_matrices[c], total));
+        controller.EstimateFromCounts(
+            oracle.matrix(),
+            stats::FrequencyTable(std::move(published.counts))));
     result.cluster_joints.push_back(std::move(estimated));
     for (size_t position = 0; position < cluster.size(); ++position) {
       result.randomized.SetColumn(
-          cluster[position], controller.DecodeColumn(domain, codes, position));
+          cluster[position],
+          controller.DecodeColumn(domain, published.codes, position));
     }
   }
   return result;

@@ -64,8 +64,10 @@ enum class SessionExecution {
   // The fast path (default): parties stored columnar in a PartyBlock,
   // engines lane-seeded in sharded batches, rounds executed as
   // zero-allocation sweeps with counting and composite-code decode fused
-  // into the round-2 pass. Several times faster per party; identical
-  // output.
+  // into the round-2 pass. Identical output. At 100k parties on a 4-core
+  // host it took 0.20 s against the party loop's 0.63 s at 4 threads
+  // (3.1x) and 0.74 s against 0.93 s at 1 thread (1.26x): the loop
+  // constructs and seeds every Party serially before any sharding.
   kBatched,
   // The reference semantics: one Party object per respondent, rounds as
   // per-party calls. The batched path is golden-tested against this.

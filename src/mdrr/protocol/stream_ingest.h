@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "mdrr/common/status_or.h"
+#include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/release/spec.h"
 #include "mdrr/release/streaming.h"
@@ -62,6 +63,17 @@ struct StreamingReplayResult {
   // True when the stream sealed and every releasable window is out.
   bool finished = false;
 };
+
+// Party-side perturbation of report `sequence`: row sequence % num_rows
+// of `dataset`, attribute j randomized through matrices[j] into out[j].
+// mt19937: the report draws from RngStreamFamily(seed).Stream(sequence)
+// in attribute order; philox: it is counter stream `sequence` of the seed
+// with attribute j as element j. Both ingest fronts (RunStreamingReplay
+// and StreamReportsOverSocket) encode through this one function.
+void PerturbStreamReport(const Dataset& dataset,
+                         const std::vector<RrMatrix>& matrices,
+                         const release::ExecutionPolicy& execution,
+                         uint64_t sequence, uint32_t* out);
 
 StatusOr<StreamingReplayResult> RunStreamingReplay(
     const release::ReleaseSpec& spec, const Dataset& dataset,

@@ -144,22 +144,7 @@ class OracleMechanism : public Mechanism {
     return RunWith(dataset, [&rng](const FrequencyOracle& oracle,
                                    const std::vector<uint32_t>& codes,
                                    size_t /*column_index*/) {
-      const size_t n = codes.size();
-      OracleColumnResult column;
-      if (oracle.produces_microdata()) column.codes.resize(n);
-      column.counts.assign(oracle.domain_size(), 0);
-      oracle.AccumulateRange(
-          codes, 0, n, rng,
-          oracle.produces_microdata() ? column.codes.data() : nullptr,
-          column.counts.data());
-      column.lambda.assign(oracle.domain_size(), 0.0);
-      if (n > 0) {
-        for (size_t v = 0; v < column.counts.size(); ++v) {
-          column.lambda[v] = static_cast<double>(column.counts[v]) /
-                             static_cast<double>(n);
-        }
-      }
-      return column;
+      return AccumulateColumn(oracle, codes, rng);
     });
   }
 

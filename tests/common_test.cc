@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,6 +145,22 @@ TEST(FlagsTest, DefaultsAndMalformedValues) {
   EXPECT_EQ(flags.GetInt("runs", 7), 7);       // Malformed -> default.
   EXPECT_EQ(flags.GetInt("missing", 9), 9);    // Missing -> default.
   EXPECT_FALSE(flags.GetBool("missing", false));
+}
+
+TEST(FlagsTest, MalformedPrivacyFlagIsRecorded) {
+  // `--p=O.9` (letter O) must not pass silently as the default 0.7.
+  const char* argv[] = {"prog", "--p=O.9", "--seed=3", "--runs=abc"};
+  FlagSet flags;
+  flags.Parse(4, const_cast<char**>(argv));
+  EXPECT_TRUE(flags.status().ok());  // Nothing read yet.
+  EXPECT_DOUBLE_EQ(flags.GetDouble("p", 0.7), 0.7);
+  EXPECT_EQ(flags.GetInt("seed", 1), 3);
+  EXPECT_EQ(flags.malformed(), std::set<std::string>{"p"});
+  Status status = flags.status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--p='O.9'"), std::string::npos);
+  EXPECT_EQ(flags.GetInt("runs", 7), 7);
+  EXPECT_EQ(flags.malformed(), (std::set<std::string>{"p", "runs"}));
 }
 
 TEST(ParallelChunksTest, CoversEveryIndexExactlyOnce) {

@@ -307,6 +307,56 @@ TEST(RrMatrixCounterTest, DenseTilingInvariant) {
   ExpectTilingInvariant(matrix.value(), codes);
 }
 
+// The slice entry point on codes[b, e) at first element b reproduces
+// out[b, e) of the full-column kernel, and slice counts accumulated over
+// a tiling equal the full-column counts.
+void ExpectSliceMatchesColumn(const RrMatrix& matrix,
+                              const std::vector<uint32_t>& codes) {
+  const uint64_t seed = 77;
+  const uint64_t stream = 5;
+  const size_t n = codes.size();
+  std::vector<uint32_t> whole(n);
+  std::vector<int64_t> whole_counts(matrix.size(), 0);
+  matrix.RandomizeRangeCounterInto(codes, 0, n, seed, stream, whole.data(),
+                                   whole_counts.data());
+
+  std::vector<int64_t> slice_counts(matrix.size(), 0);
+  size_t begin = 0;
+  size_t step = 3;
+  while (begin < n) {
+    const size_t end = std::min(n, begin + step);
+    const std::vector<uint32_t> slice(codes.begin() + begin,
+                                      codes.begin() + end);
+    std::vector<uint32_t> out(slice.size());
+    matrix.RandomizeRangeCounterInto(slice.data(), slice.size(), begin, seed,
+                                     stream, out.data(),
+                                     slice_counts.data());
+    EXPECT_EQ(out, std::vector<uint32_t>(whole.begin() + begin,
+                                         whole.begin() + end))
+        << "slice [" << begin << ", " << end << ")";
+    begin = end;
+    step = step * 5 + 7;  // Crosses the 512-element tile boundary.
+  }
+  EXPECT_EQ(slice_counts, whole_counts);
+}
+
+TEST(RrMatrixCounterTest, SliceKernelMatchesColumnSlice) {
+  std::vector<uint32_t> codes(2311);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<uint32_t>((i * 7) % 3);
+  }
+  ExpectSliceMatchesColumn(RrMatrix::KeepUniform(3, 0.7), codes);  // (0, 1)
+  ExpectSliceMatchesColumn(RrMatrix::Identity(3), codes);  // alpha <= 0
+  ExpectSliceMatchesColumn(RrMatrix::UniformReplacement(3), codes);  // >= 1
+  linalg::Matrix p(3, 3);
+  p(0, 0) = 0.7; p(0, 1) = 0.2; p(0, 2) = 0.1;
+  p(1, 0) = 0.1; p(1, 1) = 0.8; p(1, 2) = 0.1;
+  p(2, 0) = 0.3; p(2, 1) = 0.3; p(2, 2) = 0.4;
+  auto dense = RrMatrix::FromDense(p);
+  ASSERT_TRUE(dense.ok());
+  ExpectSliceMatchesColumn(dense.value(), codes);
+}
+
 TEST(RrMatrixCounterTest, KeepProbabilityIsHonored) {
   // unit < alpha replaces, so the keep rate tracks 1 - alpha + alpha/r.
   RrMatrix matrix = RrMatrix::KeepUniform(4, 0.6);

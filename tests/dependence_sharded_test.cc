@@ -6,7 +6,9 @@
 // lookup is bitwise identical to the scalar draw plan at every
 // alignment and tail length.
 
+#include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -322,6 +324,59 @@ TEST(DependenceTranscriptGoldens, RandomizedResponsePhiloxTranscript) {
 // ---------------------------------------------------------------------------
 // SIMD-lane alias lookup: bitwise identical to the scalar draw plan.
 // ---------------------------------------------------------------------------
+
+// ForEachPair at 4 threads over 1000 records in chunks of 10 (4 record
+// workers): m = 2 has one pair, too few to feed the workers, so it runs
+// in the record-range regime; m = 9 has 36 pairs, the pair-grid regime.
+constexpr size_t kSchedulerRecords = 1000;
+
+DependenceShardingOptions SchedulerOptions() {
+  DependenceShardingOptions options;
+  options.num_threads = 4;
+  options.record_chunk_size = 10;
+  return options;
+}
+
+TEST(PairGridSchedulerTest, RunsEveryPairExactlyOnceInBothRegimes) {
+  for (size_t m : {2, 9}) {
+    const size_t num_pairs = UpperTrianglePairs(m).size();
+    std::vector<std::atomic<int>> runs(num_pairs);
+    std::atomic<size_t> record_regime_runs{0};
+    Status status = ForEachPair(
+        num_pairs, kSchedulerRecords, SchedulerOptions(),
+        [&](size_t p, size_t worker, bool shard_records) {
+          EXPECT_LT(worker, 4u);
+          ++runs[p];
+          if (shard_records) ++record_regime_runs;
+          return Status::OK();
+        });
+    ASSERT_TRUE(status.ok()) << status;
+    for (size_t p = 0; p < num_pairs; ++p) {
+      EXPECT_EQ(runs[p].load(), 1) << "m=" << m << " pair " << p;
+    }
+    EXPECT_EQ(record_regime_runs.load(), m == 2 ? num_pairs : 0u)
+        << "m=" << m;
+  }
+}
+
+TEST(PairGridSchedulerTest, ReturnsTheInjectedFailureInBothRegimes) {
+  for (size_t m : {2, 9}) {
+    const size_t num_pairs = UpperTrianglePairs(m).size();
+    for (size_t fail_at : {size_t{0}, num_pairs / 2, num_pairs - 1}) {
+      Status status = ForEachPair(
+          num_pairs, kSchedulerRecords, SchedulerOptions(),
+          [&](size_t p, size_t /*worker*/, bool /*shard_records*/) {
+            return p >= fail_at
+                       ? Status::Internal("pair " + std::to_string(p))
+                       : Status::OK();
+          });
+      EXPECT_EQ(status.code(), StatusCode::kInternal);
+      // Every pair from fail_at on fails; the first in pair order wins.
+      EXPECT_EQ(status.message(), "pair " + std::to_string(fail_at))
+          << "m=" << m;
+    }
+  }
+}
 
 TEST(AliasLookupSimdTest, MatchesScalarAtAllAlignmentsAndTailLengths) {
   AliasSampler sampler(

@@ -260,6 +260,7 @@ int RunStreamingSpec(const FlagSet& flags,
   options.collector.num_shards =
       static_cast<size_t>(flags.GetInt("shards", 1));
   options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
+  if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   auto run = mdrr::protocol::RunStreamingReplay(spec, dataset.value(),
                                                 options);
   if (!run.ok()) return Fail(run.status());
@@ -308,6 +309,8 @@ int CmdRun(const FlagSet& flags) {
   if (flags.Has("worker_deadline_ms")) {
     spec.execution.worker_deadline_ms = flags.GetInt("worker_deadline_ms", 0);
   }
+
+  if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
 
   if (flags.GetBool("dump-spec", flags.GetBool("dump_spec", false))) {
     std::fputs(release::PrintReleaseSpec(spec).c_str(), stdout);
@@ -519,6 +522,7 @@ int CmdSweep(const FlagSet& flags) {
 int CmdRisk(const FlagSet& flags) {
   const size_t r = static_cast<size_t>(flags.GetInt("r", 4));
   const double p = flags.GetDouble("p", 0.7);
+  if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   if (r < 2) return Fail(Status::InvalidArgument("--r must be >= 2"));
 
   std::vector<double> prior(r, 1.0 / static_cast<double>(r));

@@ -91,6 +91,7 @@ StatusOr<protocol::StreamingReplayResult> Run(
   options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
   options.pause_at = static_cast<uint64_t>(flags.GetInt("pause_at", 0));
   options.resume = resume;
+  MDRR_RETURN_IF_ERROR(flags.status());
   return protocol::RunStreamingReplay(spec, dataset, options);
 }
 
@@ -98,6 +99,13 @@ StatusOr<protocol::StreamingReplayResult> Run(
 // reports, print the transcript.
 int ServeSocket(const FlagSet& flags, const release::ReleaseSpec& spec) {
   const int64_t port = flags.GetInt("listen", 0);
+  protocol::StreamIngestServeOptions options;
+  options.collector.num_shards =
+      static_cast<size_t>(flags.GetInt("shards", 1));
+  options.collector.ring_buckets =
+      static_cast<size_t>(flags.GetInt("ring_buckets", 4));
+  options.deadline_ms = flags.GetInt("deadline_ms", 0);
+  if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   if (port < 0 || port > 65535) {
     return Fail(Status::InvalidArgument("--listen must be 0..65535"));
   }
@@ -106,12 +114,6 @@ int ServeSocket(const FlagSet& flags, const release::ReleaseSpec& spec) {
   if (!bound.ok()) return Fail(bound);
   std::fprintf(stderr, "listening on port %u\n", listener.port());
 
-  protocol::StreamIngestServeOptions options;
-  options.collector.num_shards =
-      static_cast<size_t>(flags.GetInt("shards", 1));
-  options.collector.ring_buckets =
-      static_cast<size_t>(flags.GetInt("ring_buckets", 4));
-  options.deadline_ms = flags.GetInt("deadline_ms", 0);
   auto served = protocol::ServeStreamIngest(spec, listener, options);
   if (!served.ok()) return Fail(served.status());
 
@@ -141,6 +143,7 @@ int ConnectSocket(const FlagSet& flags, const release::ReleaseSpec& spec,
   options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
   options.batch_size = static_cast<uint32_t>(flags.GetInt("batch", 512));
   options.deadline_ms = flags.GetInt("deadline_ms", 0);
+  if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   auto sent = protocol::StreamReportsOverSocket(
       spec, dataset, target.substr(0, colon),
       static_cast<uint16_t>(port.value()), options);

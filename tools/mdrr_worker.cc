@@ -9,8 +9,9 @@
 // deterministic draws (matrix, seed, stream addresses, shard slices)
 // arrives in each AssignShards message.
 //
-// Exit status: 0 after a clean Commit, 1 on any transport, protocol, or
-// compute failure (including a coordinator Abort).
+// Exit status: 0 after a clean Commit, 1 on a malformed flag value or on
+// any transport, protocol, or compute failure (including a coordinator
+// Abort).
 
 #include <cstdio>
 #include <string>
@@ -42,6 +43,10 @@ int main(int argc, char** argv) {
   options.deadline_ms = flags.GetInt("deadline_ms", options.deadline_ms);
   options.idle_deadline_ms =
       flags.GetInt("idle_deadline_ms", options.idle_deadline_ms);
+  if (mdrr::Status parsed = flags.status(); !parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
 
   mdrr::Status status = mdrr::net::RunWorker(
       host, static_cast<uint16_t>(port.value()), options);
