@@ -21,16 +21,19 @@ void FlagSet::Parse(int argc, char** argv) {
 }
 
 bool FlagSet::Has(const std::string& key) const {
+  read_.insert(key);
   return values_.count(key) > 0;
 }
 
 std::string FlagSet::GetString(const std::string& key,
                                const std::string& default_value) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? default_value : it->second;
 }
 
 int64_t FlagSet::GetInt(const std::string& key, int64_t default_value) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   auto parsed = ParseInt64(it->second);
@@ -40,6 +43,7 @@ int64_t FlagSet::GetInt(const std::string& key, int64_t default_value) const {
 }
 
 double FlagSet::GetDouble(const std::string& key, double default_value) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   auto parsed = ParseDouble(it->second);
@@ -49,17 +53,30 @@ double FlagSet::GetDouble(const std::string& key, double default_value) const {
 }
 
 bool FlagSet::GetBool(const std::string& key, bool default_value) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   return it->second != "false" && it->second != "0";
 }
 
 Status FlagSet::status() const {
-  if (malformed_.empty()) return Status::OK();
-  std::string message = "malformed flag value";
-  for (const std::string& key : malformed_) {
-    message += " --" + key + "='" + values_.at(key) + "'";
+  std::string message;
+  if (!malformed_.empty()) {
+    message = "malformed flag value";
+    for (const std::string& key : malformed_) {
+      message += " --" + key + "='" + values_.at(key) + "'";
+    }
   }
+  std::string unknown;
+  for (const auto& entry : values_) {
+    if (!read_.empty() && read_.count(entry.first) == 0) {
+      unknown += " --" + entry.first;
+    }
+  }
+  if (!unknown.empty()) {
+    message += (message.empty() ? "" : "; ") + ("unknown flag" + unknown);
+  }
+  if (message.empty()) return Status::OK();
   return Status::InvalidArgument(message);
 }
 

@@ -25,6 +25,7 @@ class FlagSet {
   // Non-flag arguments are ignored (so google-benchmark flags pass through).
   void Parse(int argc, char** argv);
 
+  // Has and the getters mark `key` as read (a flag the tool knows).
   bool Has(const std::string& key) const;
 
   // Typed getters with defaults; a malformed value falls back to the
@@ -38,13 +39,16 @@ class FlagSet {
   // Keys whose value failed to parse in a typed getter so far.
   const std::set<std::string>& malformed() const { return malformed_; }
 
-  // OK, or InvalidArgument naming every malformed flag and its value.
-  // The tools check this after reading their flags and exit non-zero, so
-  // a typo'd privacy parameter never silently becomes the default.
+  // OK, or InvalidArgument naming every malformed flag and its value and,
+  // once any flag has been read, every parsed flag that never was (an
+  // unknown or misspelt name). The tools check this after their last
+  // flag read and exit non-zero, so neither a typo'd privacy parameter
+  // nor a typo'd flag name (--thraeds=4) silently becomes the default.
   Status status() const;
 
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   mutable std::set<std::string> malformed_;
 };
 

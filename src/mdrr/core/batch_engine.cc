@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "mdrr/common/parallel.h"
-#include "mdrr/core/perturber.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/core/synthetic.h"
 
@@ -25,26 +24,6 @@ ColumnAddress ColumnAt(const BatchPerturbationOptions& options,
       1 + column_index};
 }
 
-// Randomizes `input` through `matrix` at column `column_index`'s address.
-// The direct-encoding oracle delegates draw for draw to the RrMatrix
-// kernels, so the transcript is that of the matrix; an installed hook
-// (the distributed coordinator) receives the same address and owns the
-// determinism contract.
-PerturbedColumn PerturbColumnSharded(const RrMatrix& matrix,
-                                     const std::vector<uint32_t>& input,
-                                     size_t column_index,
-                                     const BatchPerturbationOptions& options) {
-  const ColumnAddress address = ColumnAt(options, column_index, input.size());
-  if (options.shard_perturber) {
-    return options.shard_perturber(matrix, input, address.stream_base,
-                                   address.counter_stream);
-  }
-  OracleColumnResult column =
-      AccumulateColumnSharded(DirectEncodingOracle(matrix), input, address,
-                              options.shard_size, options.num_threads);
-  return PerturbedColumn{std::move(column.codes), std::move(column.lambda)};
-}
-
 }  // namespace
 
 BatchPerturbationEngine::BatchPerturbationEngine(
@@ -60,33 +39,36 @@ size_t BatchPerturbationEngine::NumShards(size_t num_rows) const {
 OracleColumnResult BatchPerturbationEngine::RunOracle(
     const FrequencyOracle& oracle, const std::vector<uint32_t>& codes,
     size_t column_index) const {
-  return AccumulateColumnSharded(oracle, codes,
-                                 ColumnAt(options_, column_index, codes.size()),
-                                 options_.shard_size, options_.num_threads);
+  const ColumnAddress address = ColumnAt(options_, column_index, codes.size());
+  // The installed hook (the distributed coordinator) ships RR matrices,
+  // so it serves direct encoding; it receives the same address and owns
+  // the determinism contract.
+  if (options_.shard_perturber && oracle.backend() == OracleBackend::kDirect) {
+    return options_.shard_perturber(
+        static_cast<const DirectEncodingOracle&>(oracle).matrix(), codes,
+        address.stream_base, address.counter_stream);
+  }
+  return AccumulateColumnSharded(oracle, codes, address, options_.shard_size,
+                                 options_.num_threads);
+}
+
+ColumnRunner BatchPerturbationEngine::Runner() const {
+  return [this](const FrequencyOracle& oracle,
+                const std::vector<uint32_t>& codes, size_t column_index) {
+    return RunOracle(oracle, codes, column_index);
+  };
 }
 
 StatusOr<RrIndependentResult> BatchPerturbationEngine::RunIndependent(
     const Dataset& dataset, const RrIndependentOptions& options) const {
-  return RunRrIndependentWith(
-      dataset, options,
-      [this](const RrMatrix& matrix, const std::vector<uint32_t>& codes,
-             size_t column_index) {
-        return PerturbColumnSharded(matrix, codes, column_index, options_);
-      });
+  return RunRrIndependentWith(dataset, options, Runner());
 }
 
 StatusOr<RrJointResult> BatchPerturbationEngine::RunJoint(
     const Dataset& dataset, const std::vector<size_t>& attributes,
     double epsilon) const {
-  MDRR_ASSIGN_OR_RETURN(
-      RrJointPerturbation perturbation,
-      PerturbRrJoint(dataset, attributes, epsilon,
-                     [this](const RrMatrix& matrix,
-                            const std::vector<uint32_t>& codes,
-                            size_t /*column_index*/) {
-                       return PerturbColumnSharded(matrix, codes, 0,
-                                                   options_);
-                     }));
+  MDRR_ASSIGN_OR_RETURN(RrJointPerturbation perturbation,
+                        PerturbRrJoint(dataset, attributes, epsilon, Runner()));
   // Estimation never draws randomness, so routing it through the engine's
   // workers keeps the output bit-identical to the sequential path.
   return EstimateRrJoint(std::move(perturbation),
@@ -100,20 +82,8 @@ StatusOr<RrClustersResult> BatchPerturbationEngine::RunClusters(
   assessment.rng = options_.rng;
   assessment.sharding.num_threads = options_.num_threads;
   assessment.sharding.record_chunk_size = options_.shard_size;
-  return RunRrClustersWith(
-      dataset, options, serial_rng,
-      [this, &dataset](const std::vector<size_t>& cluster, double budget,
-                       size_t cluster_index) {
-        return PerturbRrJoint(
-            dataset, cluster, budget,
-            [this, cluster_index](const RrMatrix& matrix,
-                                  const std::vector<uint32_t>& codes,
-                                  size_t /*column_index*/) {
-              return PerturbColumnSharded(matrix, codes, cluster_index,
-                                          options_);
-            });
-      },
-      options_.num_threads, &assessment);
+  return RunRrClustersWith(dataset, options, serial_rng, Runner(),
+                           options_.num_threads, &assessment);
 }
 
 StatusOr<AdjustmentResult> BatchPerturbationEngine::RunAdjustment(

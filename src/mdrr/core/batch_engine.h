@@ -2,7 +2,9 @@
 //
 // The column protocols (RunRrIndependent, RunRrJoint, RunRrClusters) pull
 // every random bit from one sequential Rng, so they cannot be parallelized
-// without changing their output. The engine instead shards the records
+// without changing their output. The engine runs the same protocol frames
+// with its own ColumnRunner (core/frequency_oracle.h): RunOracle, which
+// fans each column's oracle over the records. It shards the records
 // into fixed-size batches and gives shard s its own deterministic
 // sub-stream (RngStreamFamily) for both perturbation and the shard's
 // frequency counts. Shard boundaries and stream indices depend only on
@@ -35,7 +37,6 @@
 #include "mdrr/common/status_or.h"
 #include "mdrr/core/adjustment.h"
 #include "mdrr/core/frequency_oracle.h"
-#include "mdrr/core/perturber.h"
 #include "mdrr/core/rr_clusters.h"
 #include "mdrr/core/rr_independent.h"
 #include "mdrr/core/rr_joint.h"
@@ -45,7 +46,8 @@
 
 namespace mdrr {
 
-// Override for the engine's sharded column kernel. Receives the full
+// Override for the engine's sharded column kernel under direct encoding
+// (the RR matrices every protocol frame randomizes with). Receives the full
 // randomness address of the column -- `stream_base` (mt19937: shard s of
 // the column draws from family.Stream(stream_base + s)) and
 // `counter_stream` (philox: every element draws from this stream at its
@@ -92,18 +94,21 @@ class BatchPerturbationEngine {
   StatusOr<RrIndependentResult> RunIndependent(
       const Dataset& dataset, const RrIndependentOptions& options) const;
 
-  // Fans a generic frequency-oracle backend over one column with the
-  // engine's sharding and RNG policy, using the SAME randomness
-  // addressing as column `column_index` of RunIndependent (mt19937:
-  // shard s of the column draws family.Stream(1 + column_index *
-  // NumShards(n) + s); philox: record i draws element blocks of counter
-  // stream 1 + column_index). Support counts merge as exact integer
-  // sums, so the result is bit-identical for any thread count -- and
-  // for the direct-encoding backend, bit-identical to RunIndependent's
-  // perturbed column at the same address.
+  // The sharded column runner: fans `oracle` over one column with the
+  // engine's sharding and RNG policy at perturbed column
+  // `column_index`'s address (mt19937: shard s of the column draws
+  // family.Stream(1 + column_index * NumShards(n) + s); philox: record i
+  // draws element blocks of counter stream 1 + column_index). Support
+  // counts merge as exact integer sums, so the result is bit-identical
+  // for any thread count; λ̂ is counts / n. A direct-encoding oracle goes
+  // to options().shard_perturber instead when one is installed.
   OracleColumnResult RunOracle(const FrequencyOracle& oracle,
                                const std::vector<uint32_t>& codes,
                                size_t column_index) const;
+
+  // RunOracle bound to this engine, as the ColumnRunner the protocol
+  // frames take. The engine must outlive it.
+  ColumnRunner Runner() const;
 
   // Parallel Protocol 2: same result contract as RunRrJoint.
   StatusOr<RrJointResult> RunJoint(const Dataset& dataset,

@@ -12,6 +12,7 @@
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/domain.h"
 #include "mdrr/rng/rng.h"
+#include "mdrr/stats/frequency.h"
 
 namespace mdrr {
 
@@ -212,14 +213,13 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
   const std::vector<std::pair<size_t, size_t>> pairs = UpperTrianglePairs(m);
   const bool fast = mode == mpc::SimulationMode::kFastSimulation;
 
-  // Reused per-worker scratch: composing, masking and the lambda
-  // recovery all write into these instead of allocating per pair.
+  // Reused per-worker scratch: composing, masking and counting all write
+  // into these instead of allocating per pair.
   struct PairScratch {
     std::vector<uint32_t> pair_codes;
     std::vector<uint32_t> masked;
     std::vector<uint32_t> trivial;  // Single-category helper column.
     std::vector<int64_t> masked_counts;
-    std::vector<double> lambda;
   };
 
   std::vector<PairScratch> scratches(ResolveWorkerCount(
@@ -316,14 +316,12 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
     }
 
     // Recover the true bivariate distribution with Eq. (2) + projection.
-    scratch.lambda.resize(r);
-    for (size_t c = 0; c < r; ++c) {
-      scratch.lambda[c] = static_cast<double>(scratch.masked_counts[c]) /
-                          static_cast<double>(n);
-    }
     std::vector<double> joint;
     MDRR_ASSIGN_OR_RETURN(
-        joint, EstimateProjectedDistribution(matrix, scratch.lambda));
+        joint,
+        EstimateProjectedDistribution(
+            matrix, stats::CountProportions(scratch.masked_counts.data(), r,
+                                            static_cast<int64_t>(n))));
     // Distinct pairs write distinct (i, j)/(j, i) cells.
     deps(i, j) = deps(j, i) =
         DependenceFromJoint(joint, a.cardinality(), a.type, b.cardinality(),

@@ -7,6 +7,7 @@
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
 #include "mdrr/core/estimator.h"
+#include "mdrr/stats/frequency.h"
 
 namespace mdrr {
 
@@ -19,17 +20,6 @@ size_t OlhNumBuckets(double epsilon) {
   constexpr double kMaxBuckets = 1 << 20;
   const double raw = std::floor(std::exp(std::min(epsilon, 30.0))) + 1.0;
   return static_cast<size_t>(std::max(2.0, std::min(raw, kMaxBuckets)));
-}
-
-// counts / n entry by entry (all zeros for n = 0).
-std::vector<double> Proportions(const std::vector<int64_t>& counts,
-                                size_t n) {
-  std::vector<double> lambda(counts.size(), 0.0);
-  if (n == 0) return lambda;
-  for (size_t v = 0; v < counts.size(); ++v) {
-    lambda[v] = static_cast<double>(counts[v]) / static_cast<double>(n);
-  }
-  return lambda;
 }
 
 }  // namespace
@@ -78,7 +68,7 @@ StatusOr<std::vector<double>> FrequencyOracle::EstimateFrequencies(
   if (n <= 0) {
     return Status::InvalidArgument("sample size must be positive");
   }
-  return EstimateFromLambda(Proportions(counts, static_cast<size_t>(n)));
+  return EstimateFromLambda(stats::CountProportions(counts.data(), r_, n));
 }
 
 double FrequencyOracle::TheoreticalVariance(double pi_v, int64_t n) const {
@@ -310,7 +300,15 @@ OracleColumnResult AccumulateColumn(const FrequencyOracle& oracle,
   oracle.AccumulateRange(codes, 0, codes.size(), rng,
                          result.codes.empty() ? nullptr : result.codes.data(),
                          result.counts.data());
-  result.lambda = Proportions(result.counts, codes.size());
+  // λ̂ = counts * (1/n): the reciprocal multiply of EmpiricalDistribution,
+  // so the sequential protocols' estimates are bit-identical to an
+  // unfused histogram of the published column.
+  result.lambda.assign(result.counts.size(), 0.0);
+  if (codes.empty()) return result;
+  const double inv_n = 1.0 / static_cast<double>(codes.size());
+  for (size_t v = 0; v < result.counts.size(); ++v) {
+    result.lambda[v] = static_cast<double>(result.counts[v]) * inv_n;
+  }
   return result;
 }
 
@@ -345,7 +343,8 @@ OracleColumnResult AccumulateColumnSharded(const FrequencyOracle& oracle,
   for (const std::vector<int64_t>& partial : worker_counts) {
     for (size_t v = 0; v < partial.size(); ++v) result.counts[v] += partial[v];
   }
-  result.lambda = Proportions(result.counts, n);
+  result.lambda = stats::CountProportions(
+      result.counts.data(), result.counts.size(), static_cast<int64_t>(n));
   return result;
 }
 

@@ -2,15 +2,16 @@
 // Wang et al. (USENIX Security 2017), cited by the paper as [29], plus
 // the RAPPOR-style unary encodings of its related work (Section 7).
 //
-// FrequencyOracle is the pluggable per-attribute backend seam: one
-// interface covering encode/randomize-range-into-counts/estimate, with a
+// FrequencyOracle is the one per-column perturbation interface of the
+// protocol frames: encode/randomize-range-into-counts/estimate, with a
 // batched counter-RNG entry point mirroring
 // RrMatrix::RandomizeRangeCounterInto so every backend works under both
-// RNG policies and all execution policies. The k-ary randomized-response
-// path (DirectEncodingOracle) is the reference instance: its batched
-// entry points delegate 1:1 to the RrMatrix kernels, so routing the
-// existing release paths through the oracle leaves every committed
-// transcript bit-identical.
+// RNG policies and all execution policies. The frames take a ColumnRunner
+// (below) that pushes a column through an oracle. The k-ary
+// randomized-response path (DirectEncodingOracle) is the reference
+// instance: its batched entry points delegate 1:1 to the RrMatrix
+// kernels, so the RR releases keep every committed transcript
+// bit-identical.
 //
 //   * DirectEncodingOracle  -- k-ary randomized response (the paper's
 //     optimal matrix); the only backend whose reports are themselves
@@ -32,6 +33,7 @@
 #define MDRR_CORE_FREQUENCY_ORACLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -265,13 +267,29 @@ class LocalHashingOracle : public FrequencyOracle {
 };
 
 // One column's worth of oracle reports: support counts (exact integer
-// sums), their proportions counts / n (per-entry division), and -- for
-// microdata-capable backends only -- the randomized codes.
+// sums), their proportions λ̂, and -- for microdata-capable backends
+// only -- the randomized codes.
 struct OracleColumnResult {
   std::vector<uint32_t> codes;  // Empty unless produces_microdata().
   std::vector<int64_t> counts;
   std::vector<double> lambda;
 };
+
+// The name the RR-matrix hooks (ColumnShardPerturber, the distributed
+// coordinator) use for the same result.
+using PerturbedColumn = OracleColumnResult;
+
+// The per-column step every protocol frame is parameterized on
+// (RunRrIndependentWith, RunRrJointWith, PerturbRrJoint,
+// RunRrClustersWith): randomize `codes` through `oracle` and count the
+// reports. `column_index` is the column's position within the protocol
+// run (attribute for RR-Independent, cluster for RR-Clusters, 0 for
+// RR-Joint), so sharded runners can key RNG sub-streams off it. The two
+// runners are AccumulateColumn over one sequential Rng and
+// BatchPerturbationEngine::RunOracle.
+using ColumnRunner = std::function<OracleColumnResult(
+    const FrequencyOracle& oracle, const std::vector<uint32_t>& codes,
+    size_t column_index)>;
 
 // Where a column's randomness lives, in the batch engine's layout
 // (batch_engine.h). Under kMt19937 chunk s of the column draws
@@ -287,7 +305,8 @@ struct ColumnAddress {
 };
 
 // Fused randomize+count of the whole column, drawing sequentially from
-// `rng` (AccumulateRange over [0, n)).
+// `rng` (AccumulateRange over [0, n)); λ̂ = counts * (1/n), the
+// EmpiricalDistribution arithmetic. The sequential column runner.
 OracleColumnResult AccumulateColumn(const FrequencyOracle& oracle,
                                     const std::vector<uint32_t>& codes,
                                     Rng& rng);
@@ -295,7 +314,8 @@ OracleColumnResult AccumulateColumn(const FrequencyOracle& oracle,
 // The sharded perturb+count fan: `grain`-record chunks run on
 // `num_threads` workers (0 = one per core) at `address`, each worker
 // counting into its own buffer, merged after the join. Integer sums
-// commute, so the result is bit-identical for any thread count.
+// commute, so the result is bit-identical for any thread count. λ̂ is
+// counts / n (stats::CountProportions).
 OracleColumnResult AccumulateColumnSharded(const FrequencyOracle& oracle,
                                            const std::vector<uint32_t>& codes,
                                            const ColumnAddress& address,

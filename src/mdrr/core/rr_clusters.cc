@@ -76,17 +76,16 @@ StatusOr<RrClustersResult> RunRrClusters(const Dataset& dataset,
                                          Rng& rng) {
   return RunRrClustersWith(
       dataset, options, rng,
-      [&dataset, &rng](const std::vector<size_t>& cluster, double budget,
-                       size_t /*cluster_index*/) {
-        return PerturbRrJoint(dataset, cluster, budget,
-                              SequentialPerturber(rng));
+      [&rng](const FrequencyOracle& oracle, const std::vector<uint32_t>& codes,
+             size_t /*column_index*/) {
+        return AccumulateColumn(oracle, codes, rng);
       },
       /*postprocess_threads=*/1);
 }
 
 StatusOr<RrClustersResult> RunRrClustersWith(
     const Dataset& dataset, const RrClustersOptions& options, Rng& rng,
-    const ClusterPerturbRunner& perturb_runner, size_t postprocess_threads,
+    const ColumnRunner& run_column, size_t postprocess_threads,
     const DependenceEstimatorOptions* assessment_estimator) {
   if (dataset.num_rows() == 0) {
     return Status::InvalidArgument("cannot run RR-Clusters on empty data");
@@ -109,7 +108,7 @@ StatusOr<RrClustersResult> RunRrClustersWith(
   result.dependence_epsilon = dependences.epsilon;
   result.randomized = dataset;
 
-  // Pass 1 -- randomization, cluster by cluster in order: the hook may
+  // Pass 1 -- randomization, cluster by cluster in order: the runner may
   // draw from a shared sequential Rng, so this pass cannot reorder.
   std::vector<RrJointPerturbation> perturbations;
   perturbations.reserve(clusters.size());
@@ -117,8 +116,14 @@ StatusOr<RrClustersResult> RunRrClustersWith(
     double budget =
         ClusterEpsilonBudget(dataset, clusters[c], options.keep_probability,
                              options.use_paper_epsilon_formula);
-    MDRR_ASSIGN_OR_RETURN(RrJointPerturbation perturbation,
-                          perturb_runner(clusters[c], budget, c));
+    MDRR_ASSIGN_OR_RETURN(
+        RrJointPerturbation perturbation,
+        PerturbRrJoint(dataset, clusters[c], budget,
+                       [&run_column, c](const FrequencyOracle& oracle,
+                                        const std::vector<uint32_t>& codes,
+                                        size_t /*column_index*/) {
+                         return run_column(oracle, codes, c);
+                       }));
     perturbations.push_back(std::move(perturbation));
   }
 

@@ -7,7 +7,6 @@
 #define MDRR_CORE_RR_CLUSTERS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mdrr/common/status_or.h"
@@ -84,31 +83,23 @@ StatusOr<RrClustersResult> RunRrClusters(const Dataset& dataset,
                                          const RrClustersOptions& options,
                                          Rng& rng);
 
-// Runs the randomization half of RR-Joint for one cluster at its epsilon
-// budget (PerturbRrJoint or a sharded equivalent). `cluster_index` is the
-// cluster's position in the clustering, so implementations can key
-// disjoint RNG sub-stream ranges off it. Estimation is NOT part of the
-// hook: it draws no randomness, so the frame runs it for all clusters in
-// parallel after the perturbation pass.
-using ClusterPerturbRunner = std::function<StatusOr<RrJointPerturbation>(
-    const std::vector<size_t>& cluster, double epsilon_budget,
-    size_t cluster_index)>;
-
-// The protocol frame behind RunRrClusters, with the per-cluster joint
-// randomization pluggable (BatchPerturbationEngine substitutes a sharded
-// runner). `rng` drives the dependence-assessment round. The
-// perturbation pass visits clusters in order (its RNG transcript is
-// sequential); the deterministic post-passes -- Eq. (2) estimation
-// through the fast backend across clusters, then the decode of composite
-// codes back to per-attribute columns -- shard over `postprocess_threads`
-// workers (0 = one per core) with bit-identical output at any thread
-// count. When `assessment_estimator` is non-null the dependence round
-// runs through AssessDependencesSharded instead of AssessDependences
-// (its sharding + RNG-kind options route into the estimators); not
-// owned.
+// The protocol frame behind RunRrClusters, with the column runner
+// pluggable (BatchPerturbationEngine passes its sharded RunOracle).
+// Cluster c is randomized by PerturbRrJoint at its epsilon budget, its
+// composite column running at column index c so sharded runners key
+// disjoint RNG sub-stream ranges off it. `rng` drives the
+// dependence-assessment round. The perturbation pass visits clusters in
+// order (its RNG transcript is sequential); the deterministic post-passes
+// -- Eq. (2) estimation through the fast backend across clusters, then
+// the decode of composite codes back to per-attribute columns -- shard
+// over `postprocess_threads` workers (0 = one per core) with
+// bit-identical output at any thread count. When `assessment_estimator`
+// is non-null the dependence round runs through AssessDependencesSharded
+// instead of AssessDependences (its sharding + RNG-kind options route
+// into the estimators); not owned.
 StatusOr<RrClustersResult> RunRrClustersWith(
     const Dataset& dataset, const RrClustersOptions& options, Rng& rng,
-    const ClusterPerturbRunner& perturb_runner, size_t postprocess_threads,
+    const ColumnRunner& run_column, size_t postprocess_threads,
     const DependenceEstimatorOptions* assessment_estimator = nullptr);
 
 // The RR-Clusters joint-query estimator (independent clusters, estimated

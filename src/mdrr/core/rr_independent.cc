@@ -1,5 +1,7 @@
 #include "mdrr/core/rr_independent.h"
 
+#include <utility>
+
 #include "mdrr/core/estimator.h"
 #include "mdrr/core/rr_matrix.h"
 
@@ -20,34 +22,51 @@ RrMatrix MakeIndependentMatrix(size_t r, const RrIndependentOptions& options) {
 
 StatusOr<RrIndependentResult> RunRrIndependent(
     const Dataset& dataset, const RrIndependentOptions& options, Rng& rng) {
-  return RunRrIndependentWith(dataset, options, SequentialPerturber(rng));
+  return RunRrIndependentWith(
+      dataset, options,
+      [&rng](const FrequencyOracle& oracle, const std::vector<uint32_t>& codes,
+             size_t /*column_index*/) {
+        return AccumulateColumn(oracle, codes, rng);
+      });
 }
 
 StatusOr<RrIndependentResult> RunRrIndependentWith(
     const Dataset& dataset, const RrIndependentOptions& options,
-    const ColumnPerturber& perturber) {
+    const ColumnRunner& run_column, const OracleFactory& make_oracle) {
   if (dataset.num_rows() == 0) {
     return Status::InvalidArgument("cannot run RR-Independent on empty data");
   }
   const size_t m = dataset.num_attributes();
   RrIndependentResult result;
-  result.randomized = dataset;
   result.lambda.resize(m);
   result.raw_estimated.resize(m);
   result.estimated.resize(m);
   result.epsilons.resize(m);
+  std::vector<std::vector<uint32_t>> columns;
+  columns.reserve(m);
 
   for (size_t j = 0; j < m; ++j) {
     const size_t r = dataset.attribute(j).cardinality();
-    RrMatrix matrix = MakeIndependentMatrix(r, options);
-    PerturbedColumn column = perturber(matrix, dataset.column(j), j);
-    result.randomized.SetColumn(j, std::move(column.codes));
+    std::unique_ptr<FrequencyOracle> oracle;
+    if (make_oracle) {
+      MDRR_ASSIGN_OR_RETURN(oracle, make_oracle(r));
+    } else {
+      oracle = std::make_unique<DirectEncodingOracle>(
+          MakeIndependentMatrix(r, options));
+    }
+    OracleColumnResult column = run_column(*oracle, dataset.column(j), j);
+    if (oracle->produces_microdata()) {
+      columns.push_back(std::move(column.codes));
+    }
     result.lambda[j] = std::move(column.lambda);
     MDRR_ASSIGN_OR_RETURN(result.raw_estimated[j],
-                          EstimateDistribution(matrix, result.lambda[j]));
+                          oracle->EstimateFromLambda(result.lambda[j]));
     result.estimated[j] = ProjectToSimplex(result.raw_estimated[j]);
-    result.epsilons[j] = matrix.Epsilon();
+    result.epsilons[j] = oracle->epsilon();
     result.total_epsilon += result.epsilons[j];
+  }
+  if (columns.size() == m) {
+    result.randomized = Dataset(dataset.schema(), std::move(columns));
   }
   return result;
 }

@@ -2,16 +2,25 @@
 // attribute independently with a KeepUniform matrix; the controller
 // estimates each marginal with Eq. (2) and treats attributes as
 // independent when answering joint queries.
+//
+// Each attribute runs through one FrequencyOracle and one ColumnRunner
+// (core/frequency_oracle.h): the sequential protocol runs AccumulateColumn
+// over its Rng, the sharded engine runs BatchPerturbationEngine::RunOracle.
+// The default oracle wraps the design matrix (DirectEncodingOracle), so
+// the release is the paper's RR transcript; a caller-supplied factory
+// swaps in another backend (SUE/OUE/OLH) behind the same loop.
 
 #ifndef MDRR_CORE_RR_INDEPENDENT_H_
 #define MDRR_CORE_RR_INDEPENDENT_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "mdrr/common/status_or.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/joint_estimate.h"
-#include "mdrr/core/perturber.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/rng/rng.h"
@@ -45,15 +54,17 @@ struct RrIndependentOptions {
 RrMatrix MakeIndependentMatrix(size_t r, const RrIndependentOptions& options);
 
 struct RrIndependentResult {
-  // Y: the published randomized data set.
+  // Y: the published randomized data set. Empty when the oracle is a
+  // frequency-only backend (no microdata).
   Dataset randomized;
-  // λ̂_j: empirical distribution of each randomized attribute.
+  // λ̂_j: empirical (support) distribution of each randomized attribute.
   std::vector<std::vector<double>> lambda;
   // Raw Eq. (2) estimates (may leave the simplex).
   std::vector<std::vector<double>> raw_estimated;
   // Section 6.4 projected estimates π̂_j (proper distributions).
   std::vector<std::vector<double>> estimated;
-  // Exact Expression (4) epsilon of each attribute's matrix.
+  // Each attribute's oracle epsilon: the exact Expression (4) epsilon of
+  // its matrix under the default oracle.
   std::vector<double> epsilons;
   // Sequential composition over attributes.
   double total_epsilon = 0.0;
@@ -63,12 +74,20 @@ struct RrIndependentResult {
 StatusOr<RrIndependentResult> RunRrIndependent(
     const Dataset& dataset, const RrIndependentOptions& options, Rng& rng);
 
-// The protocol frame behind RunRrIndependent, with the randomization step
-// pluggable (BatchPerturbationEngine substitutes a sharded perturber that
-// keys RNG sub-streams off the attribute index).
+// Builds the oracle for an attribute of cardinality r.
+using OracleFactory =
+    std::function<StatusOr<std::unique_ptr<FrequencyOracle>>(size_t r)>;
+
+// The protocol frame behind RunRrIndependent: attribute j runs through
+// `run_column` at column index j (BatchPerturbationEngine passes its
+// sharded runner, which keys RNG sub-streams off the index). Each
+// attribute's oracle comes from `make_oracle`; an empty factory uses
+// DirectEncodingOracle(MakeIndependentMatrix(r, options)).
+// RunRrIndependent(..., rng) == RunRrIndependentWith(..., AccumulateColumn
+// over rng).
 StatusOr<RrIndependentResult> RunRrIndependentWith(
     const Dataset& dataset, const RrIndependentOptions& options,
-    const ColumnPerturber& perturber);
+    const ColumnRunner& run_column, const OracleFactory& make_oracle = {});
 
 // The Protocol 1 joint-query estimator (product of estimated marginals).
 IndependentMarginalsEstimate MakeIndependentEstimate(

@@ -21,23 +21,27 @@ double ClusterEpsilonBudget(const Dataset& dataset,
 StatusOr<RrJointResult> RunRrJoint(const Dataset& dataset,
                                    const std::vector<size_t>& attributes,
                                    double epsilon, Rng& rng) {
-  return RunRrJointWith(dataset, attributes, epsilon,
-                        SequentialPerturber(rng));
+  return RunRrJointWith(
+      dataset, attributes, epsilon,
+      [&rng](const FrequencyOracle& oracle, const std::vector<uint32_t>& codes,
+             size_t /*column_index*/) {
+        return AccumulateColumn(oracle, codes, rng);
+      });
 }
 
 StatusOr<RrJointResult> RunRrJointWith(const Dataset& dataset,
                                        const std::vector<size_t>& attributes,
                                        double epsilon,
-                                       const ColumnPerturber& perturber) {
+                                       const ColumnRunner& run_column) {
   MDRR_ASSIGN_OR_RETURN(RrJointPerturbation perturbation,
                         PerturbRrJoint(dataset, attributes, epsilon,
-                                       perturber));
+                                       run_column));
   return EstimateRrJoint(std::move(perturbation));
 }
 
 StatusOr<RrJointPerturbation> PerturbRrJoint(
     const Dataset& dataset, const std::vector<size_t>& attributes,
-    double epsilon, const ColumnPerturber& perturber) {
+    double epsilon, const ColumnRunner& run_column) {
   if (dataset.num_rows() == 0) {
     return Status::InvalidArgument("cannot run RR-Joint on empty data");
   }
@@ -59,12 +63,12 @@ StatusOr<RrJointPerturbation> PerturbRrJoint(
   }
   Domain domain = Domain::ForAttributes(dataset, attributes);
   const size_t r = static_cast<size_t>(domain.size());
-  RrMatrix matrix = RrMatrix::OptimalForEpsilon(r, epsilon);
+  DirectEncodingOracle oracle(RrMatrix::OptimalForEpsilon(r, epsilon));
 
   std::vector<uint32_t> true_codes = domain.ComposeColumns(dataset, attributes);
 
-  PerturbedColumn column = perturber(matrix, true_codes, 0);
-  return RrJointPerturbation{attributes, std::move(domain), std::move(matrix),
+  OracleColumnResult column = run_column(oracle, true_codes, 0);
+  return RrJointPerturbation{attributes, std::move(domain), oracle.matrix(),
                              std::move(column.codes),
                              std::move(column.lambda)};
 }

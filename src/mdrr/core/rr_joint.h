@@ -2,6 +2,10 @@
 // Cartesian product of a set of attributes. Also the per-cluster engine of
 // RR-Clusters, using the Section 6.3.2 matrix calibrated to the summed
 // per-attribute epsilons.
+//
+// The composite column runs through DirectEncodingOracle(matrix) and one
+// ColumnRunner (core/frequency_oracle.h): AccumulateColumn over the
+// protocol's Rng, or BatchPerturbationEngine::RunOracle when sharded.
 
 #ifndef MDRR_CORE_RR_JOINT_H_
 #define MDRR_CORE_RR_JOINT_H_
@@ -11,7 +15,7 @@
 
 #include "mdrr/common/status_or.h"
 #include "mdrr/core/estimator.h"
-#include "mdrr/core/perturber.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/dataset/domain.h"
 #include "mdrr/rng/rng.h"
@@ -52,13 +56,14 @@ StatusOr<RrJointResult> RunRrJoint(const Dataset& dataset,
                                    const std::vector<size_t>& attributes,
                                    double epsilon, Rng& rng);
 
-// The protocol frame behind RunRrJoint, with the randomization step
-// pluggable (BatchPerturbationEngine substitutes a sharded perturber).
-// RunRrJoint(..., rng) == RunRrJointWith(..., SequentialPerturber(rng)).
+// The protocol frame behind RunRrJoint, with the column runner pluggable
+// (BatchPerturbationEngine passes its sharded RunOracle). The composite
+// column runs at column index 0.
+// RunRrJoint(..., rng) == RunRrJointWith(..., AccumulateColumn over rng).
 StatusOr<RrJointResult> RunRrJointWith(const Dataset& dataset,
                                        const std::vector<size_t>& attributes,
                                        double epsilon,
-                                       const ColumnPerturber& perturber);
+                                       const ColumnRunner& run_column);
 
 // The randomization half of RR-Joint: validation, matrix design, and the
 // perturbation pass -- everything that consumes randomness -- without the
@@ -75,7 +80,7 @@ struct RrJointPerturbation {
 
 StatusOr<RrJointPerturbation> PerturbRrJoint(
     const Dataset& dataset, const std::vector<size_t>& attributes,
-    double epsilon, const ColumnPerturber& perturber);
+    double epsilon, const ColumnRunner& run_column);
 
 // The estimation half: Eq. (2) through the fast backend (structured O(r)
 // closed form or blocked parallel LU) plus the Section 6.4 projection and

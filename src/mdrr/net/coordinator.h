@@ -27,7 +27,7 @@
 
 #include "mdrr/common/status.h"
 #include "mdrr/common/status_or.h"
-#include "mdrr/core/perturber.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/net/socket.h"
 #include "mdrr/rng/counter_rng.h"

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "mdrr/core/estimator.h"
 #include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/synthetic.h"
 
@@ -57,29 +56,34 @@ std::vector<std::vector<size_t>> SingletonUnits(size_t m) {
 // Protocol 1.
 // ---------------------------------------------------------------------------
 
+// Serves both per-attribute spec mechanisms: `name` is the spec token
+// ("independent" or "geometric-ordinal"); the design difference lives
+// entirely in the options. A non-default spec.frequency_oracle section
+// supplies `make_oracle` (DE with an explicit epsilon, SUE, OUE, or OLH);
+// an empty factory randomizes with the design's own matrices.
+// Frequency-only backends (sue|oue|olh) publish closed-form marginals with
+// no microdata column.
 class IndependentMechanism : public Mechanism {
  public:
-  // Serves both per-attribute spec mechanisms: `name` is the spec token
-  // ("independent" or "geometric-ordinal"); the design difference lives
-  // entirely in the options.
-  IndependentMechanism(const RrIndependentOptions& options, const char* name)
-      : options_(options), name_(name) {}
+  IndependentMechanism(const RrIndependentOptions& options, const char* name,
+                       OracleFactory make_oracle)
+      : options_(options), name_(name), make_oracle_(std::move(make_oracle)) {}
 
   const char* name() const override { return name_; }
 
   StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
                                           Rng& rng) const override {
-    MDRR_ASSIGN_OR_RETURN(RrIndependentResult result,
-                          RunRrIndependent(dataset, options_, rng));
-    return FromResult(std::move(result));
+    return Run(dataset, [&rng](const FrequencyOracle& oracle,
+                               const std::vector<uint32_t>& codes,
+                               size_t /*column_index*/) {
+      return AccumulateColumn(oracle, codes, rng);
+    });
   }
 
   StatusOr<MechanismOutput> RunSharded(
       const Dataset& dataset,
       const BatchPerturbationEngine& engine) const override {
-    MDRR_ASSIGN_OR_RETURN(RrIndependentResult result,
-                          engine.RunIndependent(dataset, options_));
-    return FromResult(std::move(result));
+    return Run(dataset, engine.Runner());
   }
 
   bool SupportsSynthesis() const override { return true; }
@@ -107,7 +111,11 @@ class IndependentMechanism : public Mechanism {
   }
 
  private:
-  static MechanismOutput FromResult(RrIndependentResult result) {
+  StatusOr<MechanismOutput> Run(const Dataset& dataset,
+                                const ColumnRunner& run_column) const {
+    MDRR_ASSIGN_OR_RETURN(
+        RrIndependentResult result,
+        RunRrIndependentWith(dataset, options_, run_column, make_oracle_));
     MechanismOutput output;
     output.marginal_estimates = result.estimated;
     output.release_epsilon = result.total_epsilon;
@@ -117,88 +125,7 @@ class IndependentMechanism : public Mechanism {
 
   RrIndependentOptions options_;
   const char* name_;
-};
-
-// ---------------------------------------------------------------------------
-// Frequency-oracle backends (spec.frequency_oracle, non-default).
-// ---------------------------------------------------------------------------
-
-// Per-attribute release through a pluggable frequency oracle (DE with an
-// explicit epsilon, SUE, OUE, or OLH). Shares Protocol 1's column loop
-// and randomness addressing: the sharded run goes through the engine's
-// RunOracle (same stream/counter layout as RunIndependent), and the
-// sequential run threads the policy Rng through the attributes in
-// order. Frequency-only backends (sue|oue|olh) publish closed-form
-// marginals with no microdata column; the direct backend also releases
-// the randomized dataset.
-class OracleMechanism : public Mechanism {
- public:
-  OracleMechanism(const FrequencyOracleSpec& oracle_spec,
-                  const RrIndependentOptions& design)
-      : oracle_spec_(oracle_spec), design_(design) {}
-
-  const char* name() const override { return "frequency-oracle"; }
-
-  StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
-                                          Rng& rng) const override {
-    return RunWith(dataset, [&rng](const FrequencyOracle& oracle,
-                                   const std::vector<uint32_t>& codes,
-                                   size_t /*column_index*/) {
-      return AccumulateColumn(oracle, codes, rng);
-    });
-  }
-
-  StatusOr<MechanismOutput> RunSharded(
-      const Dataset& dataset,
-      const BatchPerturbationEngine& engine) const override {
-    return RunWith(dataset, [&engine](const FrequencyOracle& oracle,
-                                      const std::vector<uint32_t>& codes,
-                                      size_t column_index) {
-      return engine.RunOracle(oracle, codes, column_index);
-    });
-  }
-
- private:
-  // The oracle for one attribute of cardinality r. An explicit
-  // frequency_oracle.epsilon applies uniformly to every attribute;
-  // epsilon 0 inherits the per-attribute budget the spec's RR design
-  // would spend at this cardinality (Expression (4) epsilon), so backend
-  // swaps compare at equal epsilon by construction.
-  StatusOr<std::unique_ptr<FrequencyOracle>> MakeOracle(size_t r) const {
-    double epsilon = oracle_spec_.epsilon;
-    if (epsilon == 0.0) {
-      epsilon = MakeIndependentMatrix(r, design_).Epsilon();
-    }
-    return MakeFrequencyOracle(oracle_spec_.backend, r, epsilon);
-  }
-
-  template <typename ColumnRunner>
-  StatusOr<MechanismOutput> RunWith(const Dataset& dataset,
-                                    const ColumnRunner& run_column) const {
-    const size_t m = dataset.num_attributes();
-    const bool microdata = oracle_spec_.backend == OracleBackend::kDirect;
-    MechanismOutput output;
-    output.marginal_estimates.reserve(m);
-    std::vector<std::vector<uint32_t>> columns(microdata ? m : 0);
-    for (size_t j = 0; j < m; ++j) {
-      const size_t r = dataset.attribute(j).cardinality();
-      MDRR_ASSIGN_OR_RETURN(std::unique_ptr<FrequencyOracle> oracle,
-                            MakeOracle(r));
-      OracleColumnResult column = run_column(*oracle, dataset.column(j), j);
-      MDRR_ASSIGN_OR_RETURN(std::vector<double> raw,
-                            oracle->EstimateFromLambda(column.lambda));
-      output.marginal_estimates.push_back(ProjectToSimplex(raw));
-      output.release_epsilon += oracle->epsilon();
-      if (microdata) columns[j] = std::move(column.codes);
-    }
-    if (microdata) {
-      output.randomized = Dataset(dataset.schema(), std::move(columns));
-    }
-    return output;
-  }
-
-  FrequencyOracleSpec oracle_spec_;
-  RrIndependentOptions design_;
+  OracleFactory make_oracle_;
 };
 
 // ---------------------------------------------------------------------------
@@ -436,29 +363,37 @@ StatusOr<std::vector<AdjustmentGroup>> Mechanism::AdjustmentGroupsFor(
 }
 
 std::unique_ptr<Mechanism> MakeMechanism(const ReleaseSpec& spec) {
+  // The per-attribute mechanisms (independent, geometric-ordinal).
+  RrIndependentOptions design;
+  design.keep_probability = spec.budget.keep_probability;
+  const bool geometric =
+      spec.mechanism.kind == MechanismKind::kGeometricOrdinal;
+  if (geometric) {
+    design.design = IndependentDesign::kGeometricOrdinal;
+    design.geometric_epsilon = spec.mechanism.geometric_epsilon;
+  }
+  OracleFactory make_oracle;
   if (!spec.frequency_oracle.is_default()) {
     // ValidateReleaseSpec pins non-default oracle sections to the
-    // per-attribute mechanisms; the design options only matter for the
-    // derived equal-epsilon budget when frequency_oracle.epsilon is 0.
-    RrIndependentOptions design;
-    design.keep_probability = spec.budget.keep_probability;
-    if (spec.mechanism.kind == MechanismKind::kGeometricOrdinal) {
-      design.design = IndependentDesign::kGeometricOrdinal;
-      design.geometric_epsilon = spec.mechanism.geometric_epsilon;
-    }
-    return std::make_unique<OracleMechanism>(spec.frequency_oracle, design);
+    // per-attribute mechanisms. An explicit frequency_oracle.epsilon
+    // applies uniformly to every attribute; epsilon 0 inherits the
+    // per-attribute budget the spec's RR design would spend at this
+    // cardinality (Expression (4) epsilon), so backend swaps compare at
+    // equal epsilon by construction.
+    make_oracle = [oracle = spec.frequency_oracle, design](size_t r)
+        -> StatusOr<std::unique_ptr<FrequencyOracle>> {
+      const double epsilon = oracle.epsilon != 0.0
+                                 ? oracle.epsilon
+                                 : MakeIndependentMatrix(r, design).Epsilon();
+      return MakeFrequencyOracle(oracle.backend, r, epsilon);
+    };
   }
   switch (spec.mechanism.kind) {
     case MechanismKind::kIndependent:
+    case MechanismKind::kGeometricOrdinal:
       return std::make_unique<IndependentMechanism>(
-          RrIndependentOptions{spec.budget.keep_probability}, "independent");
-    case MechanismKind::kGeometricOrdinal: {
-      RrIndependentOptions options;
-      options.design = IndependentDesign::kGeometricOrdinal;
-      options.geometric_epsilon = spec.mechanism.geometric_epsilon;
-      return std::make_unique<IndependentMechanism>(options,
-                                                    "geometric-ordinal");
-    }
+          design, geometric ? "geometric-ordinal" : "independent",
+          std::move(make_oracle));
     case MechanismKind::kJoint:
       return std::make_unique<JointMechanism>(
           spec.mechanism.joint_attributes, spec.budget.keep_probability,

@@ -6,6 +6,7 @@
 
 #include "mdrr/core/estimator.h"
 #include "mdrr/core/rr_independent.h"
+#include "mdrr/stats/frequency.h"
 
 namespace mdrr::release {
 
@@ -59,10 +60,6 @@ StreamingCollector::StreamingCollector(
                   : spec.streaming.window_size,
               std::max<size_t>(options.ring_buckets, 2),
               std::max<size_t>(options.num_shards, 1)) {
-  oracles_.reserve(matrices_.size());
-  for (const RrMatrix& matrix : matrices_) {
-    oracles_.emplace_back(matrix);
-  }
   const size_t shards = std::max<size_t>(options.num_shards, 1);
   channels_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
@@ -244,21 +241,18 @@ StatusOr<StreamWindow> StreamingCollector::EmitWindow() {
   window.artifacts.release_epsilon = window_epsilon_;
   window.artifacts.marginal_estimates.reserve(cardinalities.size());
   size_t offset = 0;
-  std::vector<double> lambda;
   for (size_t j = 0; j < cardinalities.size(); ++j) {
     const size_t r = cardinalities[j];
-    lambda.assign(r, 0.0);
-    for (size_t v = 0; v < r; ++v) {
-      lambda[v] = static_cast<double>(sums[offset + v]) /
-                  static_cast<double>(reports);
-    }
+    // Uniform-mixture designs take the O(r) closed form: no LU
+    // factorization per window.
+    MDRR_ASSIGN_OR_RETURN(
+        std::vector<double> estimate,
+        EstimateProjectedDistribution(
+            matrices_[j],
+            stats::CountProportions(sums.data() + offset, r,
+                                    static_cast<int64_t>(reports))));
+    window.artifacts.marginal_estimates.push_back(std::move(estimate));
     offset += r;
-    // The oracle's closed-form inversion IS the structured Eq. (2)
-    // estimator for RR designs, so this is bit-identical to calling
-    // EstimateProjectedDistribution on matrices_[j].
-    MDRR_ASSIGN_OR_RETURN(std::vector<double> raw,
-                          oracles_[j].EstimateFromLambda(lambda));
-    window.artifacts.marginal_estimates.push_back(ProjectToSimplex(raw));
   }
 
   window.released = true;

@@ -47,7 +47,6 @@
 
 #include "mdrr/common/mpsc_channel.h"
 #include "mdrr/common/status_or.h"
-#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/core/stream_counts.h"
 #include "mdrr/release/artifacts.h"
@@ -207,11 +206,6 @@ class StreamingCollector {
 
   ReleaseSpec spec_;
   std::vector<RrMatrix> matrices_;
-  // Per-attribute direct-encoding oracles over matrices_: window
-  // estimation runs through the oracle seam's closed form, which for RR
-  // designs is exactly the structured Eq. (2) estimator -- same bits,
-  // zero LU factorizations.
-  std::vector<DirectEncodingOracle> oracles_;
   double window_epsilon_;
   uint64_t buckets_per_window_;
 

@@ -33,14 +33,18 @@ void FrequencyTable::Absorb(const FrequencyTable& other) {
   total_ += other.total_;
 }
 
-std::vector<double> FrequencyTable::Proportions() const {
-  std::vector<double> proportions(counts_.size(), 0.0);
-  if (total_ == 0) return proportions;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    proportions[i] =
-        static_cast<double>(counts_[i]) / static_cast<double>(total_);
+std::vector<double> CountProportions(const int64_t* counts,
+                                     size_t num_categories, int64_t n) {
+  std::vector<double> proportions(num_categories, 0.0);
+  if (n == 0) return proportions;
+  for (size_t v = 0; v < num_categories; ++v) {
+    proportions[v] = static_cast<double>(counts[v]) / static_cast<double>(n);
   }
   return proportions;
+}
+
+std::vector<double> FrequencyTable::Proportions() const {
+  return CountProportions(counts_.data(), counts_.size(), total_);
 }
 
 ContingencyTable::ContingencyTable(const std::vector<uint32_t>& codes_a,

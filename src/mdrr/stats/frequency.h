@@ -14,6 +14,11 @@
 
 namespace mdrr::stats {
 
+// The empirical distribution of `n` reports from their per-category
+// counts: counts[v] / n entry by entry (all zeros when n == 0).
+std::vector<double> CountProportions(const int64_t* counts,
+                                     size_t num_categories, int64_t n);
+
 // Counts and proportions of a single categorical variable.
 class FrequencyTable {
  public:

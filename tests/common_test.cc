@@ -163,6 +163,27 @@ TEST(FlagsTest, MalformedPrivacyFlagIsRecorded) {
   EXPECT_EQ(flags.malformed(), (std::set<std::string>{"p", "runs"}));
 }
 
+TEST(FlagsTest, UnknownFlagNameIsReported) {
+  // `--thraeds=4` must not quietly run the sequential policy.
+  const char* typo[] = {"prog", "--thraeds=4", "--seed=3"};
+  FlagSet misspelt;
+  misspelt.Parse(3, const_cast<char**>(typo));
+  EXPECT_EQ(misspelt.GetInt("threads", 0), 0);
+  EXPECT_EQ(misspelt.GetInt("seed", 1), 3);
+  Status status = misspelt.status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--thraeds"), std::string::npos);
+  EXPECT_EQ(status.message().find("--seed"), std::string::npos);
+
+  const char* known[] = {"prog", "--threads=4", "--seed=3"};
+  FlagSet flags;
+  flags.Parse(3, const_cast<char**>(known));
+  EXPECT_TRUE(flags.Has("threads"));
+  EXPECT_EQ(flags.GetInt("threads", 0), 4);
+  EXPECT_EQ(flags.GetInt("seed", 1), 3);
+  EXPECT_TRUE(flags.status().ok()) << flags.status().ToString();
+}
+
 TEST(ParallelChunksTest, CoversEveryIndexExactlyOnce) {
   const size_t n = 1003;
   std::vector<std::atomic<int>> touched(n);

@@ -190,6 +190,23 @@ TEST(ConfidenceHalfWidthTest, WidthsBehaveSanely) {
   EXPECT_FALSE(EstimateConfidenceHalfWidths(p, lambda, 100, 1.0).ok());
 }
 
+TEST(ConfidenceHalfWidthTest, ShrinksAsReportsArrive) {
+  RrMatrix matrix = RrMatrix::KeepUniform(3, 0.5);
+  Rng rng(5);
+  std::vector<uint32_t> reports;
+  for (int i = 0; i < 1000; ++i) reports.push_back(matrix.Randomize(0, rng));
+  auto early = EstimateConfidenceHalfWidths(
+      matrix, EmpiricalDistribution(reports, 3), 1000, 0.05);
+  ASSERT_TRUE(early.ok());
+  for (int i = 0; i < 9000; ++i) reports.push_back(matrix.Randomize(0, rng));
+  auto late = EstimateConfidenceHalfWidths(
+      matrix, EmpiricalDistribution(reports, 3), 10000, 0.05);
+  ASSERT_TRUE(late.ok());
+  for (size_t v = 0; v < 3; ++v) {
+    EXPECT_LT(late.value()[v], early.value()[v]);
+  }
+}
+
 TEST(IterativeBayesianTest, ConvergesToTruthWithoutNoise) {
   RrMatrix p = RrMatrix::KeepUniform(4, 0.5);
   std::vector<double> pi = {0.4, 0.3, 0.2, 0.1};

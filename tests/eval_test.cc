@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mdrr/core/joint_estimate.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/dataset/domain.h"
 #include "mdrr/eval/experiment.h"
@@ -152,6 +153,34 @@ TEST(ExperimentTest, AllMethodsRunOnAdultSample) {
     EXPECT_EQ(result.value().runs, 4);
     EXPECT_GE(result.value().median_absolute_error, 0.0);
   }
+}
+
+TEST(RangeQueryTest, BuildsInclusiveRange) {
+  Dataset ds = SynthesizeAdult(100, 3);
+  CountQuery query =
+      eval::MakeRangeQuery(ds, kAdultEducation, 8, 11);
+  ASSERT_EQ(query.attributes, (std::vector<size_t>{kAdultEducation}));
+  ASSERT_EQ(query.tuples.size(), 4u);
+  EXPECT_EQ(query.tuples.front()[0], 8u);
+  EXPECT_EQ(query.tuples.back()[0], 11u);
+}
+
+TEST(RangeQueryTest, SingleCategoryRange) {
+  Dataset ds = SynthesizeAdult(100, 5);
+  CountQuery query = eval::MakeRangeQuery(ds, kAdultIncome, 1, 1);
+  ASSERT_EQ(query.tuples.size(), 1u);
+}
+
+TEST(RangeQueryTest, CountsMatchManualScan) {
+  Dataset ds = SynthesizeAdult(5000, 7);
+  CountQuery query =
+      eval::MakeRangeQuery(ds, kAdultEducation, 12, 15);
+  EmpiricalCounts counts(ds);
+  double manual = 0.0;
+  for (uint32_t code : ds.column(kAdultEducation)) {
+    if (code >= 12 && code <= 15) manual += 1.0;
+  }
+  EXPECT_DOUBLE_EQ(counts.EstimateCount(query), manual);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "mdrr/core/estimator.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/rr_joint.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
@@ -464,8 +465,12 @@ TEST(JointSplitTest, PerturbThenEstimateMatchesRunRrJoint) {
   ASSERT_TRUE(combined.ok());
 
   Rng split_rng(97);
-  auto perturbation =
-      PerturbRrJoint(data, attrs, 1.5, SequentialPerturber(split_rng));
+  auto perturbation = PerturbRrJoint(
+      data, attrs, 1.5,
+      [&split_rng](const FrequencyOracle& oracle,
+                   const std::vector<uint32_t>& codes, size_t /*column*/) {
+        return AccumulateColumn(oracle, codes, split_rng);
+      });
   ASSERT_TRUE(perturbation.ok());
   for (size_t threads : {1u, 4u}) {
     RrJointPerturbation copy = perturbation.value();

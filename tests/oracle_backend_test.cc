@@ -5,12 +5,14 @@
 // run through the release facade with deterministic, thread-invariant
 // closed-form marginals.
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mdrr/core/batch_engine.h"
+#include "mdrr/core/estimator.h"
 #include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/rr_independent.h"
 #include "mdrr/dataset/adult.h"
@@ -202,7 +204,7 @@ TEST(OracleReleaseTest, FrequencyOnlyBackendsReleaseClosedFormMarginals) {
 }
 
 // The direct backend with an explicit epsilon still releases microdata
-// through the oracle mechanism.
+// through the per-attribute mechanism.
 TEST(OracleReleaseTest, DirectBackendWithExplicitEpsilonKeepsMicrodata) {
   ReleaseSpec spec = OracleReleaseSpec(OracleBackend::kDirect, 2.0);
   ASSERT_FALSE(spec.frequency_oracle.is_default());
@@ -216,6 +218,72 @@ TEST(OracleReleaseTest, DirectBackendWithExplicitEpsilonKeepsMicrodata) {
             data.num_attributes());
   EXPECT_DOUBLE_EQ(artifacts.value().release_epsilon,
                    2.0 * static_cast<double>(data.num_attributes()));
+}
+
+// FNV-1a over raw bytes: the pinned-transcript fingerprint.
+uint64_t HashBytes(uint64_t h, const void* data, size_t size) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The sequential facade release through a non-default oracle section,
+// pinned by content hash (released codes, then marginals): OUE at the
+// design-derived epsilon and DE at an explicit epsilon 2.
+TEST(OracleReleaseTest, SequentialTranscriptIsPinned) {
+  const struct {
+    OracleBackend backend;
+    double epsilon;
+    uint64_t golden;
+  } cases[] = {{OracleBackend::kOptimizedUnary, 0.0, 0xccb707863237a0d0ull},
+               {OracleBackend::kDirect, 2.0, 0xa5eb2c402cf92dc1ull}};
+  for (const auto& c : cases) {
+    ReleaseSpec spec = OracleReleaseSpec(c.backend, c.epsilon);
+    spec.execution.seed = 13;
+    auto plan = ReleasePlanner::Plan(spec);
+    ASSERT_TRUE(plan.ok());
+    auto artifacts = plan.value().Run();
+    ASSERT_TRUE(artifacts.ok());
+    uint64_t h = 0xcbf29ce484222325ull;
+    const Dataset& randomized = artifacts.value().randomized;
+    for (size_t j = 0; j < randomized.num_attributes(); ++j) {
+      const std::vector<uint32_t>& codes = randomized.column(j);
+      h = HashBytes(h, codes.data(), codes.size() * sizeof(uint32_t));
+    }
+    for (const std::vector<double>& marginal :
+         artifacts.value().marginal_estimates) {
+      h = HashBytes(h, marginal.data(), marginal.size() * sizeof(double));
+    }
+    EXPECT_EQ(h, c.golden) << ToString(c.backend);
+  }
+}
+
+// The sequential DE release at an explicit epsilon is AccumulateColumn
+// over DirectEncodingOracle(r, epsilon), attribute by attribute on one
+// Rng(seed): the oracle section swaps the oracle, not the column loop.
+TEST(OracleReleaseTest, SequentialDirectReleaseIsTheSequentialRunner) {
+  ReleaseSpec spec = OracleReleaseSpec(OracleBackend::kDirect, 2.0);
+  spec.execution.seed = 13;
+  auto plan = ReleasePlanner::Plan(spec);
+  ASSERT_TRUE(plan.ok());
+  auto artifacts = plan.value().Run();
+  ASSERT_TRUE(artifacts.ok());
+
+  const Dataset& data = plan.value().dataset();
+  Rng rng(13);
+  for (size_t j = 0; j < data.num_attributes(); ++j) {
+    const DirectEncodingOracle oracle(data.attribute(j).cardinality(), 2.0);
+    OracleColumnResult column = AccumulateColumn(oracle, data.column(j), rng);
+    EXPECT_EQ(artifacts.value().randomized.column(j), column.codes) << j;
+    auto raw = oracle.EstimateFromLambda(column.lambda);
+    ASSERT_TRUE(raw.ok());
+    EXPECT_EQ(artifacts.value().marginal_estimates[j],
+              ProjectToSimplex(raw.value()))
+        << j;
+  }
 }
 
 // Sharded oracle releases are bit-identical for any thread count, and

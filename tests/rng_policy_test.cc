@@ -14,7 +14,7 @@
 
 #include "mdrr/core/batch_engine.h"
 #include "mdrr/core/estimator.h"
-#include "mdrr/core/perturber.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/rr_clusters.h"
 #include "mdrr/core/rr_independent.h"
 #include "mdrr/dataset/dataset.h"
@@ -264,9 +264,9 @@ TEST(RngPolicyTest, MtStreamingTranscriptIsPinned) {
 TEST(RngPolicyTest, SequentialFusedLambdaMatchesPosthocHistogram) {
   Dataset data = MakeSurvey(1500, 37);
   Rng rng(11);
-  ColumnPerturber perturber = SequentialPerturber(rng);
   RrMatrix matrix = RrMatrix::KeepUniform(3, 0.7);
-  PerturbedColumn column = perturber(matrix, data.column(0), 0);
+  OracleColumnResult column =
+      AccumulateColumn(DirectEncodingOracle(matrix), data.column(0), rng);
   ASSERT_EQ(column.codes.size(), data.num_rows());
 
   // Bit-identical to the unfused EmpiricalDistribution arithmetic.

@@ -27,8 +27,8 @@
 //       the per-attribute budget of the method's RR design, so backend
 //       swaps compare at equal epsilon).
 //       spec mode:
-//         --spec=release.spec     (a serialized ReleaseSpec; all other
-//                                  release flags are ignored)
+//         --spec=release.spec     (a serialized ReleaseSpec; the other
+//                                  release flags are rejected)
 //
 //       Passing --threads selects the sharded execution policy: every
 //       stage runs through the BatchPerturbationEngine contracts with N
@@ -73,6 +73,9 @@
 //   mdrr_cli risk --r=4 [--p=0.7] [--prior=0.4,0.3,0.2,0.1]
 //       Disclosure-risk analysis of a KeepUniform design: epsilon,
 //       posterior best-guess confidences, expected attacker success.
+//
+// Every command exits 1 on a malformed flag value (--p=O.9) or a flag it
+// does not read (--thraeds=4), before doing any work.
 
 #include <algorithm>
 #include <cmath>
@@ -109,10 +112,12 @@ int Fail(const Status& status) {
 
 StatusOr<Dataset> LoadInput(const FlagSet& flags) {
   std::string path = flags.GetString("input", "");
+  const bool has_header = !flags.GetBool("no_header", false);
+  MDRR_RETURN_IF_ERROR(flags.status());
   if (path.empty()) {
     return Status::InvalidArgument("--input=FILE is required");
   }
-  return mdrr::ReadCsvDataset(path, !flags.GetBool("no_header", false));
+  return mdrr::ReadCsvDataset(path, has_header);
 }
 
 int CmdSchema(const FlagSet& flags) {
@@ -237,6 +242,13 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
 int RunStreamingSpec(const FlagSet& flags,
                      const mdrr::release::ReleaseSpec& spec) {
   namespace release = mdrr::release;
+  mdrr::protocol::StreamingReplayOptions options;
+  options.num_ingest_threads =
+      static_cast<size_t>(flags.GetInt("ingest_threads", 1));
+  options.collector.num_shards =
+      static_cast<size_t>(flags.GetInt("shards", 1));
+  options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
+  if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   StatusOr<Dataset> dataset = [&]() -> StatusOr<Dataset> {
     switch (spec.dataset.source) {
       case release::DatasetSpec::Source::kCsvFile:
@@ -254,13 +266,6 @@ int RunStreamingSpec(const FlagSet& flags,
   }();
   if (!dataset.ok()) return Fail(dataset.status());
 
-  mdrr::protocol::StreamingReplayOptions options;
-  options.num_ingest_threads =
-      static_cast<size_t>(flags.GetInt("ingest_threads", 1));
-  options.collector.num_shards =
-      static_cast<size_t>(flags.GetInt("shards", 1));
-  options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
-  if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   auto run = mdrr::protocol::RunStreamingReplay(spec, dataset.value(),
                                                 options);
   if (!run.ok()) return Fail(run.status());
@@ -310,14 +315,18 @@ int CmdRun(const FlagSet& flags) {
     spec.execution.worker_deadline_ms = flags.GetInt("worker_deadline_ms", 0);
   }
 
+  const bool dump_spec =
+      flags.GetBool("dump-spec", flags.GetBool("dump_spec", false));
+  // The streaming route reads its own tuning flags, then checks.
+  if (spec.streaming.enabled && !dump_spec) {
+    return RunStreamingSpec(flags, spec);
+  }
   if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
 
-  if (flags.GetBool("dump-spec", flags.GetBool("dump_spec", false))) {
+  if (dump_spec) {
     std::fputs(release::PrintReleaseSpec(spec).c_str(), stdout);
     return 0;
   }
-
-  if (spec.streaming.enabled) return RunStreamingSpec(flags, spec);
 
   auto plan = release::ReleasePlanner::Plan(spec);
   if (!plan.ok()) return Fail(plan.status());
@@ -404,6 +413,7 @@ int CmdSweep(const FlagSet& flags) {
   namespace fs = std::filesystem;
   namespace release = mdrr::release;
   const std::string dir = flags.GetString("specs", "");
+  if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   if (dir.empty()) {
     return Fail(Status::InvalidArgument("--specs=DIR is required"));
   }
@@ -522,11 +532,11 @@ int CmdSweep(const FlagSet& flags) {
 int CmdRisk(const FlagSet& flags) {
   const size_t r = static_cast<size_t>(flags.GetInt("r", 4));
   const double p = flags.GetDouble("p", 0.7);
+  const std::string prior_flag = flags.GetString("prior", "");
   if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   if (r < 2) return Fail(Status::InvalidArgument("--r must be >= 2"));
 
   std::vector<double> prior(r, 1.0 / static_cast<double>(r));
-  std::string prior_flag = flags.GetString("prior", "");
   if (!prior_flag.empty()) {
     std::vector<std::string> parts = mdrr::Split(prior_flag, ',');
     if (parts.size() != r) {

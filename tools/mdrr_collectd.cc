@@ -36,7 +36,9 @@
 // ledger, and the sequence cursor.
 //
 // Exit status: 0 on success (including budget-suppressed windows --
-// that is the fail-closed degraded mode, not an error), 1 otherwise.
+// that is the fail-closed degraded mode, not an error), 1 otherwise. A
+// malformed flag value or a flag the mode does not read exits 1 before
+// any report is ingested.
 
 #include <cstdio>
 #include <fstream>
@@ -207,6 +209,10 @@ int Main(const FlagSet& flags) {
 
   const size_t ingest_threads =
       static_cast<size_t>(flags.GetInt("ingest_threads", 1));
+  // Read before Run checks the flags, which rejects any flag never read.
+  const std::string windows_out = flags.GetString("windows_out", "");
+  const std::string snapshot_out = flags.GetString("snapshot_out", "");
+  const bool verify_replay = flags.GetBool("verify_replay", false);
   auto run = Run(spec.value(), dataset.value(), flags, ingest_threads,
                  resume);
   if (!run.ok()) return Fail(run.status());
@@ -223,27 +229,26 @@ int Main(const FlagSet& flags) {
               result.epsilon_spent);
 
   if (flags.Has("windows_out")) {
-    Status written =
-        WriteFile(transcript, flags.GetString("windows_out", ""));
+    Status written = WriteFile(transcript, windows_out);
     if (!written.ok()) return Fail(written);
   }
   if (result.snapshot.has_value()) {
-    const std::string out = flags.GetString("snapshot_out", "");
-    if (out.empty()) {
+    if (snapshot_out.empty()) {
       return Fail(Status::InvalidArgument(
           "--pause_at requires --snapshot_out=FILE (the paused state "
           "would be lost)"));
     }
-    Status written = release::WriteStreamingSnapshot(*result.snapshot, out);
+    Status written =
+        release::WriteStreamingSnapshot(*result.snapshot, snapshot_out);
     if (!written.ok()) return Fail(written);
     std::printf("paused before sequence %llu; snapshot written to %s\n",
                 static_cast<unsigned long long>(result.snapshot->next_sequence),
-                out.c_str());
+                snapshot_out.c_str());
   }
 
   // The determinism self-check: the same schedule through one producer
   // thread must give the same transcript, byte for byte.
-  if (flags.GetBool("verify_replay", false)) {
+  if (verify_replay) {
     auto rerun = Run(spec.value(), dataset.value(), flags,
                      /*ingest_threads=*/1, resume);
     if (!rerun.ok()) return Fail(rerun.status());
