@@ -32,12 +32,15 @@ std::string FlagSet::GetString(const std::string& key,
   return it == values_.end() ? default_value : it->second;
 }
 
-int64_t FlagSet::GetInt(const std::string& key, int64_t default_value) const {
+int64_t FlagSet::GetInt(const std::string& key, int64_t default_value,
+                        int64_t min, int64_t max) const {
   read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   auto parsed = ParseInt64(it->second);
-  if (parsed.ok()) return parsed.value();
+  if (parsed.ok() && parsed.value() >= min && parsed.value() <= max) {
+    return parsed.value();
+  }
   malformed_.insert(key);
   return default_value;
 }
@@ -62,7 +65,7 @@ bool FlagSet::GetBool(const std::string& key, bool default_value) const {
 Status FlagSet::status() const {
   std::string message;
   if (!malformed_.empty()) {
-    message = "malformed flag value";
+    message = "malformed or out-of-range flag value";
     for (const std::string& key : malformed_) {
       message += " --" + key + "='" + values_.at(key) + "'";
     }

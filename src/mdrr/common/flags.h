@@ -11,6 +11,7 @@
 #define MDRR_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -29,10 +30,14 @@ class FlagSet {
   bool Has(const std::string& key) const;
 
   // Typed getters with defaults; a malformed value falls back to the
-  // default and its key is recorded in malformed().
+  // default and its key is recorded in malformed(). GetInt treats a value
+  // outside [min, max] as malformed, so a count read into a narrower or
+  // unsigned type can neither wrap nor truncate.
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
-  int64_t GetInt(const std::string& key, int64_t default_value) const;
+  int64_t GetInt(const std::string& key, int64_t default_value,
+                 int64_t min = std::numeric_limits<int64_t>::min(),
+                 int64_t max = std::numeric_limits<int64_t>::max()) const;
   double GetDouble(const std::string& key, double default_value) const;
   bool GetBool(const std::string& key, bool default_value) const;
 

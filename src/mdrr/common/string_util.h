@@ -3,6 +3,7 @@
 #ifndef MDRR_COMMON_STRING_UTIL_H_
 #define MDRR_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,38 @@ StatusOr<double> ParseDouble(std::string_view input);
 
 // True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+// One row of an enum's {value, token} table. An enum with stable text
+// tokens (spec files, CLI flags) declares the table once; both lookup
+// directions read it.
+template <typename E>
+struct EnumToken {
+  E value;
+  const char* token;
+};
+
+template <typename E, size_t N>
+const char* TokenFor(const EnumToken<E> (&table)[N], E value) {
+  for (const EnumToken<E>& row : table) {
+    if (row.value == value) return row.token;
+  }
+  return "unknown";
+}
+
+// InvalidArgument "unknown <what> '<token>' (expected a|b|...)" when
+// `token` is not in the table.
+template <typename E, size_t N>
+StatusOr<E> ValueFor(const EnumToken<E> (&table)[N], std::string_view token,
+                     const char* what) {
+  std::string expected;
+  for (const EnumToken<E>& row : table) {
+    if (token == row.token) return row.value;
+    expected += (expected.empty() ? "" : "|") + std::string(row.token);
+  }
+  return Status::InvalidArgument("unknown " + std::string(what) + " '" +
+                                 std::string(token) + "' (expected " +
+                                 expected + ")");
+}
 
 }  // namespace mdrr
 

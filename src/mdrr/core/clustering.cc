@@ -70,7 +70,7 @@ StatusOr<AttributeClustering> ClusterAttributes(
     return Status::InvalidArgument(
         "dependence matrix shape does not match attribute count");
   }
-  if (options.max_combinations < 1.0) {
+  if (!(options.max_combinations >= 1.0)) {  // Also rejects NaN.
     return Status::InvalidArgument("Tv must be >= 1");
   }
 

@@ -5,9 +5,10 @@
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
+#include "mdrr/core/dependence.h"
+#include "mdrr/core/estimator.h"
 #include "mdrr/core/frequency_oracle.h"
 #include "mdrr/protocol/party_block.h"
-#include "mdrr/release/planner.h"
 #include "mdrr/stats/frequency.h"
 
 namespace mdrr::protocol {
@@ -96,13 +97,29 @@ StatusOr<std::vector<RrMatrix>> DesignClusterMatrices(
   return matrices;
 }
 
+// Controller: dependences on the round-1 publication (pair grid and
+// contingency accumulation sharded), then Algorithm 1. Like every
+// controller stage below (ShardedHistogram, EstimateProjectedDistribution,
+// DecodeColumnSharded), bit-identical at any thread count and grain.
+StatusOr<AttributeClustering> AssessAndCluster(const Dataset& round1_data,
+                                               const SessionOptions& options,
+                                               size_t shard_size) {
+  DependenceShardingOptions sharding;
+  sharding.num_threads = options.num_threads;
+  sharding.record_chunk_size = shard_size;
+  return ClusterAttributes(
+      round1_data.Cardinalities(),
+      DependenceMatrixSharded(round1_data, DependenceMeasure::kPaperAuto,
+                              sharding),
+      options.clustering);
+}
+
 // --- Reference semantics: one Party object per respondent. The batched
 // fast path below is golden-tested against this loop
 // (tests/session_fast_path_test.cc), so its structure deliberately stays
 // the straightforward reading of the paper's message flow. ---
-StatusOr<SessionResult> RunPartyLoopSession(
-    const Dataset& dataset, const SessionOptions& options,
-    const release::ControllerPlan& controller) {
+StatusOr<SessionResult> RunPartyLoopSession(const Dataset& dataset,
+                                            const SessionOptions& options) {
   const size_t n = dataset.num_rows();
   const size_t m = dataset.num_attributes();
   const size_t shard_size = std::max<size_t>(1, options.shard_size);
@@ -147,7 +164,7 @@ StatusOr<SessionResult> RunPartyLoopSession(
   // contingency accumulation sharded), then Algorithm 1, then one
   // clustering broadcast to every party.
   MDRR_ASSIGN_OR_RETURN(result.clusters,
-                        controller.AssessAndCluster(round1_data));
+                        AssessAndCluster(round1_data, options, shard_size));
   result.messages_broadcast = n;
 
   // --- Round 2: cluster-wise publication (Section 6.3.2 calibration),
@@ -178,18 +195,24 @@ StatusOr<SessionResult> RunPartyLoopSession(
   result.randomized = dataset;
   for (size_t c = 0; c < num_clusters; ++c) {
     const Domain& domain = result.cluster_domains[c];
+    const std::vector<uint32_t>& codes = cluster_codes[c];
     MDRR_ASSIGN_OR_RETURN(
         std::vector<double> estimated,
-        controller.EstimateDistribution(cluster_matrices[c],
-                                        cluster_codes[c],
-                                        static_cast<size_t>(domain.size())));
+        EstimateProjectedDistribution(
+            cluster_matrices[c],
+            stats::ShardedHistogram(codes.size(),
+                                    static_cast<size_t>(domain.size()),
+                                    shard_size, threads,
+                                    [&codes](size_t i) { return codes[i]; })
+                .Proportions(),
+            EstimationOptions{threads}));
     result.cluster_joints.push_back(std::move(estimated));
 
     for (size_t position = 0; position < result.clusters[c].size();
          ++position) {
       result.randomized.SetColumn(
           result.clusters[c][position],
-          controller.DecodeColumn(domain, cluster_codes[c], position));
+          DecodeColumnSharded(domain, codes, position, shard_size, threads));
     }
   }
   return result;
@@ -198,9 +221,8 @@ StatusOr<SessionResult> RunPartyLoopSession(
 // --- Batched fast path: the same protocol as columnar sweeps over a
 // PartyBlock. Publications, clustering input, counts, decode, epsilons
 // and message accounting are all bit-identical to the Party loop. ---
-StatusOr<SessionResult> RunBatchedSession(
-    const Dataset& dataset, const SessionOptions& options,
-    const release::ControllerPlan& controller) {
+StatusOr<SessionResult> RunBatchedSession(const Dataset& dataset,
+                                          const SessionOptions& options) {
   const size_t n = dataset.num_rows();
   const size_t m = dataset.num_attributes();
   const size_t shard_size = std::max<size_t>(1, options.shard_size);
@@ -222,7 +244,7 @@ StatusOr<SessionResult> RunBatchedSession(
   result.messages_round1 = n;
 
   MDRR_ASSIGN_OR_RETURN(result.clusters,
-                        controller.AssessAndCluster(round1_data));
+                        AssessAndCluster(round1_data, options, shard_size));
   result.messages_broadcast = n;
 
   // Round 2: one sweep publishes the composite codes and fuses the
@@ -242,9 +264,10 @@ StatusOr<SessionResult> RunBatchedSession(
   for (size_t c = 0; c < result.clusters.size(); ++c) {
     MDRR_ASSIGN_OR_RETURN(
         std::vector<double> estimated,
-        controller.EstimateFromCounts(
+        EstimateProjectedDistribution(
             cluster_matrices[c],
-            stats::FrequencyTable(std::move(sweep.counts[c]))));
+            stats::FrequencyTable(std::move(sweep.counts[c])).Proportions(),
+            EstimationOptions{threads}));
     result.cluster_joints.push_back(std::move(estimated));
     for (size_t position = 0; position < result.clusters[c].size();
          ++position) {
@@ -266,9 +289,8 @@ StatusOr<SessionResult> RunBatchedSession(
 constexpr uint64_t kRound1StreamBase = 1ull << 33;
 constexpr uint64_t kRound2StreamBase = 1ull << 34;
 
-StatusOr<SessionResult> RunCounterSession(
-    const Dataset& dataset, const SessionOptions& options,
-    const release::ControllerPlan& controller) {
+StatusOr<SessionResult> RunCounterSession(const Dataset& dataset,
+                                          const SessionOptions& options) {
   const size_t n = dataset.num_rows();
   const size_t m = dataset.num_attributes();
   const size_t shard_size = std::max<size_t>(1, options.shard_size);
@@ -295,7 +317,7 @@ StatusOr<SessionResult> RunCounterSession(
   result.messages_round1 = n;
 
   MDRR_ASSIGN_OR_RETURN(result.clusters,
-                        controller.AssessAndCluster(round1_data));
+                        AssessAndCluster(round1_data, options, shard_size));
   result.messages_broadcast = n;
 
   // Round 2: composite codes per cluster, one counter stream per cluster,
@@ -315,14 +337,16 @@ StatusOr<SessionResult> RunCounterSession(
         shard_size, threads);
     MDRR_ASSIGN_OR_RETURN(
         std::vector<double> estimated,
-        controller.EstimateFromCounts(
+        EstimateProjectedDistribution(
             oracle.matrix(),
-            stats::FrequencyTable(std::move(published.counts))));
+            stats::FrequencyTable(std::move(published.counts)).Proportions(),
+            EstimationOptions{threads}));
     result.cluster_joints.push_back(std::move(estimated));
     for (size_t position = 0; position < cluster.size(); ++position) {
       result.randomized.SetColumn(
           cluster[position],
-          controller.DecodeColumn(domain, published.codes, position));
+          DecodeColumnSharded(domain, published.codes, position, shard_size,
+                              threads));
     }
   }
   return result;
@@ -342,25 +366,13 @@ StatusOr<SessionResult> RunDistributedSession(const Dataset& dataset,
         "seeding transcript; run the philox policy with the batched "
         "execution");
   }
-  // The controller's stage work (dependence assessment, Algorithm 1,
-  // Eq. (2) estimation, decode) goes through the release layer's
-  // controller plan under one execution policy; the sharded primitives
-  // it routes to are bit-identical for any thread count.
-  MDRR_ASSIGN_OR_RETURN(
-      release::ControllerPlan controller,
-      release::ReleasePlanner::PlanController(
-          options.clustering,
-          release::ExecutionPolicy{release::PolicyKind::kSharded,
-                                   options.seed, options.num_threads,
-                                   std::max<size_t>(1, options.shard_size),
-                                   options.rng}));
   if (options.rng == RngKind::kPhilox) {
-    return RunCounterSession(dataset, options, controller);
+    return RunCounterSession(dataset, options);
   }
   if (options.execution == SessionExecution::kPartyLoop) {
-    return RunPartyLoopSession(dataset, options, controller);
+    return RunPartyLoopSession(dataset, options);
   }
-  return RunBatchedSession(dataset, options, controller);
+  return RunBatchedSession(dataset, options);
 }
 
 }  // namespace mdrr::protocol

@@ -56,20 +56,24 @@ std::vector<std::vector<size_t>> SingletonUnits(size_t m) {
 // Protocol 1.
 // ---------------------------------------------------------------------------
 
-// Serves both per-attribute spec mechanisms: `name` is the spec token
-// ("independent" or "geometric-ordinal"); the design difference lives
-// entirely in the options. A non-default spec.frequency_oracle section
-// supplies `make_oracle` (DE with an explicit epsilon, SUE, OUE, or OLH);
-// an empty factory randomizes with the design's own matrices.
+// Serves both per-attribute spec mechanisms, independent and
+// geometric-ordinal; the design difference lives entirely in the options.
+// A non-default spec.frequency_oracle section supplies `make_oracle` (DE
+// with an explicit epsilon, SUE, OUE, or OLH); an empty factory
+// randomizes with the design's own matrices.
 // Frequency-only backends (sue|oue|olh) publish closed-form marginals with
 // no microdata column.
 class IndependentMechanism : public Mechanism {
  public:
-  IndependentMechanism(const RrIndependentOptions& options, const char* name,
+  IndependentMechanism(const RrIndependentOptions& options,
                        OracleFactory make_oracle)
-      : options_(options), name_(name), make_oracle_(std::move(make_oracle)) {}
+      : options_(options), make_oracle_(std::move(make_oracle)) {}
 
-  const char* name() const override { return name_; }
+  MechanismKind kind() const override {
+    return options_.design == IndependentDesign::kGeometricOrdinal
+               ? MechanismKind::kGeometricOrdinal
+               : MechanismKind::kIndependent;
+  }
 
   StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
                                           Rng& rng) const override {
@@ -124,7 +128,6 @@ class IndependentMechanism : public Mechanism {
   }
 
   RrIndependentOptions options_;
-  const char* name_;
   OracleFactory make_oracle_;
 };
 
@@ -140,7 +143,7 @@ class JointMechanism : public Mechanism {
         keep_probability_(keep_probability),
         use_paper_epsilon_formula_(use_paper_epsilon_formula) {}
 
-  const char* name() const override { return "joint"; }
+  MechanismKind kind() const override { return MechanismKind::kJoint; }
 
   StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
                                           Rng& rng) const override {
@@ -216,7 +219,7 @@ class ClustersMechanism : public Mechanism {
   explicit ClustersMechanism(const RrClustersOptions& options)
       : options_(options) {}
 
-  const char* name() const override { return "clusters"; }
+  MechanismKind kind() const override { return MechanismKind::kClusters; }
 
   StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
                                           Rng& rng) const override {
@@ -288,7 +291,7 @@ class PramMechanism : public Mechanism {
   explicit PramMechanism(double keep_probability)
       : keep_probability_(keep_probability) {}
 
-  const char* name() const override { return "pram"; }
+  MechanismKind kind() const override { return MechanismKind::kPram; }
 
   StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
                                           Rng& rng) const override {
@@ -366,9 +369,7 @@ std::unique_ptr<Mechanism> MakeMechanism(const ReleaseSpec& spec) {
   // The per-attribute mechanisms (independent, geometric-ordinal).
   RrIndependentOptions design;
   design.keep_probability = spec.budget.keep_probability;
-  const bool geometric =
-      spec.mechanism.kind == MechanismKind::kGeometricOrdinal;
-  if (geometric) {
+  if (spec.mechanism.kind == MechanismKind::kGeometricOrdinal) {
     design.design = IndependentDesign::kGeometricOrdinal;
     design.geometric_epsilon = spec.mechanism.geometric_epsilon;
   }
@@ -391,9 +392,8 @@ std::unique_ptr<Mechanism> MakeMechanism(const ReleaseSpec& spec) {
   switch (spec.mechanism.kind) {
     case MechanismKind::kIndependent:
     case MechanismKind::kGeometricOrdinal:
-      return std::make_unique<IndependentMechanism>(
-          design, geometric ? "geometric-ordinal" : "independent",
-          std::move(make_oracle));
+      return std::make_unique<IndependentMechanism>(design,
+                                                    std::move(make_oracle));
     case MechanismKind::kJoint:
       return std::make_unique<JointMechanism>(
           spec.mechanism.joint_attributes, spec.budget.keep_probability,

@@ -54,7 +54,9 @@ class Mechanism {
  public:
   virtual ~Mechanism() = default;
 
-  virtual const char* name() const = 0;
+  virtual MechanismKind kind() const = 0;
+  // The spec token of kind().
+  const char* name() const { return ToString(kind()); }
 
   // The perturbation + Eq. (2) estimation stage. Sequential runs draw
   // from `rng` exactly as the wrapped stage function would; sharded runs

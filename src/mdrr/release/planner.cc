@@ -312,22 +312,4 @@ StatusOr<ReleasePlan> ReleasePlanner::Plan(const ReleaseSpec& spec,
   return ReleasePlan(spec, std::move(owned), bound, std::move(mechanism));
 }
 
-StatusOr<ControllerPlan> ReleasePlanner::PlanController(
-    const ClusteringOptions& clustering, const ExecutionPolicy& policy,
-    DependenceMeasure measure) {
-  if (!(clustering.max_combinations >= 1.0)) {
-    return Status::InvalidArgument(
-        "clustering.max_combinations (Tv) must be >= 1");
-  }
-  if (policy.shard_size == 0) {
-    return Status::InvalidArgument("execution.shard_size must be > 0");
-  }
-  if (policy.kind == PolicyKind::kDistributed) {
-    return Status::InvalidArgument(
-        "party sessions run on the controller; the distributed policy "
-        "applies to batch releases only");
-  }
-  return ControllerPlan(clustering, measure, policy);
-}
-
 }  // namespace mdrr::release

@@ -35,7 +35,6 @@
 #include "mdrr/common/status_or.h"
 #include "mdrr/net/coordinator.h"
 #include "mdrr/release/artifacts.h"
-#include "mdrr/release/controller.h"
 #include "mdrr/release/mechanism.h"
 #include "mdrr/release/spec.h"
 
@@ -90,12 +89,6 @@ class ReleasePlanner {
   // a malformed or contradictory spec.
   static StatusOr<ReleasePlan> Plan(const ReleaseSpec& spec,
                                     const Dataset* provided = nullptr);
-
-  // Lowers an execution policy into the controller-side stage bundle
-  // used when parties perturb their own records (protocol/session.cc).
-  static StatusOr<ControllerPlan> PlanController(
-      const ClusteringOptions& clustering, const ExecutionPolicy& policy,
-      DependenceMeasure measure = DependenceMeasure::kPaperAuto);
 };
 
 }  // namespace mdrr::release

@@ -3,8 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mdrr/common/string_util.h"
@@ -110,6 +112,17 @@ std::vector<SpecLine> TokenizeLines(const std::string& text) {
   return lines;
 }
 
+Status CheckHeader(const std::vector<SpecLine>& lines, const char* header) {
+  if (lines.empty() ||
+      lines.front().key +
+              (lines.front().rest.empty() ? "" : " " + lines.front().rest) !=
+          header) {
+    return Status::InvalidArgument(std::string("expected header '") + header +
+                                   "'");
+  }
+  return Status::OK();
+}
+
 StatusOr<bool> ParseBool(const SpecLine& line) {
   if (line.tokens.size() == 1) {
     if (line.tokens[0] == "1" || line.tokens[0] == "true") return true;
@@ -200,257 +213,201 @@ StatusOr<std::string> ReadText(const std::string& path) {
   return buffer.str();
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // ReleaseSpec.
 // ---------------------------------------------------------------------------
 
-std::string PrintReleaseSpec(const ReleaseSpec& spec) {
-  std::string out;
-  out += kSpecHeader;
-  out += '\n';
+// An enum field with the parser of its spec tokens.
+template <typename E, typename Parse>
+struct TokenField {
+  E& value;
+  Parse parse;
+};
+template <typename E, typename Parse>
+TokenField<E, Parse> Token(E& value, Parse parse) {
+  return {value, parse};
+}
 
-  AppendLine(out, "dataset.source", std::string(ToString(spec.dataset.source)));
-  if (!spec.dataset.csv_path.empty()) {
-    AppendLine(out, "dataset.csv_path", spec.dataset.csv_path);
-  }
-  AppendLine(out, "dataset.csv_has_header", spec.dataset.csv_has_header);
-  AppendLine(out, "dataset.synthetic_records",
-             static_cast<uint64_t>(spec.dataset.synthetic_records));
-  AppendLine(out, "dataset.synthetic_seed", spec.dataset.synthetic_seed);
-
-  AppendLine(out, "budget.keep_probability", spec.budget.keep_probability);
-  AppendLine(out, "budget.dependence_keep_probability",
-             spec.budget.dependence_keep_probability);
-  AppendLine(out, "budget.max_total_epsilon", spec.budget.max_total_epsilon);
-
-  AppendLine(out, "mechanism.kind", std::string(ToString(spec.mechanism.kind)));
-  AppendIndexList(out, "mechanism.joint_attributes",
-                  spec.mechanism.joint_attributes);
-  AppendLine(out, "mechanism.clustering.max_combinations",
-             spec.mechanism.clustering.max_combinations);
-  AppendLine(out, "mechanism.clustering.min_dependence",
-             spec.mechanism.clustering.min_dependence);
-  AppendLine(out, "mechanism.dependence_source",
-             std::string(ToString(spec.mechanism.dependence_source)));
-  AppendLine(out, "mechanism.use_paper_epsilon_formula",
-             spec.mechanism.use_paper_epsilon_formula);
-  AppendLine(out, "mechanism.geometric_epsilon",
-             spec.mechanism.geometric_epsilon);
-
+// The spec text schema: every key with its field, in print order. Each
+// field's C++ type selects its text form (PrintField / ParseField); a
+// string field is a path (printed only when non-empty, parsed from the
+// raw line remainder) and a list of index lists is a repeated key.
+// `print` gates a key on output only; parsing accepts every key, and a
+// missing key keeps its default.
+template <typename Spec, typename Visit>
+void ForEachSpecField(Spec& s, Visit& visit) {
+  visit("dataset.source", Token(s.dataset.source, DatasetSourceFromString));
+  visit("dataset.csv_path", s.dataset.csv_path);
+  visit("dataset.csv_has_header", s.dataset.csv_has_header);
+  visit("dataset.synthetic_records", s.dataset.synthetic_records);
+  visit("dataset.synthetic_seed", s.dataset.synthetic_seed);
+  visit("budget.keep_probability", s.budget.keep_probability);
+  visit("budget.dependence_keep_probability",
+        s.budget.dependence_keep_probability);
+  visit("budget.max_total_epsilon", s.budget.max_total_epsilon);
+  visit("mechanism.kind", Token(s.mechanism.kind, MechanismKindFromString));
+  visit("mechanism.joint_attributes", s.mechanism.joint_attributes);
+  visit("mechanism.clustering.max_combinations",
+        s.mechanism.clustering.max_combinations);
+  visit("mechanism.clustering.min_dependence",
+        s.mechanism.clustering.min_dependence);
+  visit("mechanism.dependence_source",
+        Token(s.mechanism.dependence_source, DependenceSourceFromString));
+  visit("mechanism.use_paper_epsilon_formula",
+        s.mechanism.use_paper_epsilon_formula);
+  visit("mechanism.geometric_epsilon", s.mechanism.geometric_epsilon);
   // Printed only when non-default so pre-oracle spec files keep their
   // exact committed text (validation pins the section to its defaults on
   // every path that cannot serve it, so round-trip equality holds).
-  if (!spec.frequency_oracle.is_default()) {
-    AppendLine(out, "frequency_oracle.backend",
-               std::string(ToString(spec.frequency_oracle.backend)));
-    if (spec.frequency_oracle.epsilon != 0.0) {
-      AppendLine(out, "frequency_oracle.epsilon",
-                 spec.frequency_oracle.epsilon);
-    }
-  }
-
-  AppendLine(out, "adjustment.enabled", spec.adjustment.enabled);
-  AppendSigned(out, "adjustment.max_iterations",
-               spec.adjustment.max_iterations);
-  AppendLine(out, "adjustment.tolerance", spec.adjustment.tolerance);
-  for (const std::vector<size_t>& group : spec.adjustment.groups) {
-    AppendIndexList(out, "adjustment.group", group);
-  }
-
-  AppendLine(out, "synthetic.enabled", spec.synthetic.enabled);
-  AppendSigned(out, "synthetic.records", spec.synthetic.records);
-
-  AppendLine(out, "evaluation.utility_report", spec.evaluation.utility_report);
-  AppendDoubleList(out, "evaluation.sigmas", spec.evaluation.sigmas);
-  AppendSigned(out, "evaluation.queries_per_sigma",
-               spec.evaluation.queries_per_sigma);
-  AppendLine(out, "evaluation.seed", spec.evaluation.seed);
-
-  AppendLine(out, "streaming.enabled", spec.streaming.enabled);
-  AppendLine(out, "streaming.window_kind",
-             std::string(ToString(spec.streaming.window_kind)));
-  AppendLine(out, "streaming.window_size", spec.streaming.window_size);
-  AppendLine(out, "streaming.window_stride", spec.streaming.window_stride);
-  AppendLine(out, "streaming.window_epsilon", spec.streaming.window_epsilon);
-  AppendLine(out, "streaming.max_windows", spec.streaming.max_windows);
-
-  AppendLine(out, "execution.policy",
-             std::string(ToString(spec.execution.kind)));
-  AppendLine(out, "execution.seed", spec.execution.seed);
-  AppendLine(out, "execution.num_threads",
-             static_cast<uint64_t>(spec.execution.num_threads));
-  AppendLine(out, "execution.shard_size",
-             static_cast<uint64_t>(spec.execution.shard_size));
-  AppendLine(out, "execution.rng", std::string(ToString(spec.execution.rng)));
+  const bool oracle = !s.frequency_oracle.is_default();
+  visit("frequency_oracle.backend",
+        Token(s.frequency_oracle.backend, OracleBackendFromString), oracle);
+  visit("frequency_oracle.epsilon", s.frequency_oracle.epsilon,
+        oracle && s.frequency_oracle.epsilon != 0.0);
+  visit("adjustment.enabled", s.adjustment.enabled);
+  visit("adjustment.max_iterations", s.adjustment.max_iterations);
+  visit("adjustment.tolerance", s.adjustment.tolerance);
+  visit("adjustment.group", s.adjustment.groups);
+  visit("synthetic.enabled", s.synthetic.enabled);
+  visit("synthetic.records", s.synthetic.records);
+  visit("evaluation.utility_report", s.evaluation.utility_report);
+  visit("evaluation.sigmas", s.evaluation.sigmas);
+  visit("evaluation.queries_per_sigma", s.evaluation.queries_per_sigma);
+  visit("evaluation.seed", s.evaluation.seed);
+  visit("streaming.enabled", s.streaming.enabled);
+  visit("streaming.window_kind",
+        Token(s.streaming.window_kind, WindowKindFromString));
+  visit("streaming.window_size", s.streaming.window_size);
+  visit("streaming.window_stride", s.streaming.window_stride);
+  visit("streaming.window_epsilon", s.streaming.window_epsilon);
+  visit("streaming.max_windows", s.streaming.max_windows);
+  visit("execution.policy", Token(s.execution.kind, PolicyKindFromString));
+  visit("execution.seed", s.execution.seed);
+  visit("execution.num_threads", s.execution.num_threads);
+  visit("execution.shard_size", s.execution.shard_size);
+  // Absent in pre-philox spec files; the field default keeps those
+  // parsing as mt19937.
+  visit("execution.rng", Token(s.execution.rng, RngKindFromString));
   // Distributed-only fields, printed only under that policy so pre-
   // distributed spec files keep their exact text (validation forces the
   // fields to their defaults under every other policy, so round-trip
   // equality still holds).
-  if (spec.execution.kind == PolicyKind::kDistributed) {
-    AppendLine(out, "execution.num_workers",
-               static_cast<uint64_t>(spec.execution.num_workers));
-    AppendLine(out, "execution.listen_port",
-               static_cast<uint64_t>(spec.execution.listen_port));
-    AppendSigned(out, "execution.worker_deadline_ms",
-                 spec.execution.worker_deadline_ms);
-  }
+  const bool distributed = s.execution.kind == PolicyKind::kDistributed;
+  visit("execution.num_workers", s.execution.num_workers, distributed);
+  visit("execution.listen_port", s.execution.listen_port, distributed);
+  visit("execution.worker_deadline_ms", s.execution.worker_deadline_ms,
+        distributed);
+  visit("output.randomized_csv", s.output.randomized_csv);
+  visit("output.synthetic_csv", s.output.synthetic_csv);
+  visit("output.artifacts", s.output.artifacts_path);
+}
 
-  if (!spec.output.randomized_csv.empty()) {
-    AppendLine(out, "output.randomized_csv", spec.output.randomized_csv);
+template <typename T>
+void PrintField(std::string& out, const std::string& key, const T& value) {
+  if constexpr (std::is_same_v<T, bool> || std::is_floating_point_v<T>) {
+    AppendLine(out, key, value);
+  } else if constexpr (std::is_signed_v<T>) {
+    AppendSigned(out, key, value);
+  } else if constexpr (std::is_integral_v<T>) {
+    AppendLine(out, key, static_cast<uint64_t>(value));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!value.empty()) AppendLine(out, key, value);
+  } else if constexpr (std::is_same_v<T, std::vector<size_t>>) {
+    AppendIndexList(out, key, value);
+  } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+    AppendDoubleList(out, key, value);
+  } else if constexpr (std::is_same_v<T, std::vector<std::vector<size_t>>>) {
+    for (const std::vector<size_t>& group : value) {
+      AppendIndexList(out, key, group);
+    }
+  } else {
+    AppendLine(out, key, std::string(ToString(value.value)));
   }
-  if (!spec.output.synthetic_csv.empty()) {
-    AppendLine(out, "output.synthetic_csv", spec.output.synthetic_csv);
+}
+
+// Narrows a parsed integer into T, rejecting values T cannot hold.
+template <typename T, typename Wide>
+Status AssignInRange(const SpecLine& line, Wide value, T& field) {
+  if (value < std::numeric_limits<T>::min() ||
+      value > std::numeric_limits<T>::max()) {
+    return Status::InvalidArgument(
+        "'" + line.key + "' must be in [" +
+        std::to_string(std::numeric_limits<T>::min()) + ", " +
+        std::to_string(std::numeric_limits<T>::max()) + "]");
   }
-  if (!spec.output.artifacts_path.empty()) {
-    AppendLine(out, "output.artifacts", spec.output.artifacts_path);
+  field = static_cast<T>(value);
+  return Status::OK();
+}
+
+template <typename T>
+Status ParseField(const SpecLine& line, T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    MDRR_ASSIGN_OR_RETURN(field, ParseBool(line));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    MDRR_ASSIGN_OR_RETURN(field, ParseOneDouble(line));
+  } else if constexpr (std::is_signed_v<T>) {
+    MDRR_ASSIGN_OR_RETURN(int64_t value, ParseOneInt(line));
+    return AssignInRange(line, value, field);
+  } else if constexpr (std::is_integral_v<T>) {
+    MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
+    return AssignInRange(line, value, field);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    field = line.rest;
+  } else if constexpr (std::is_same_v<T, std::vector<size_t>>) {
+    MDRR_ASSIGN_OR_RETURN(field, ParseIndexList(line));
+  } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+    MDRR_ASSIGN_OR_RETURN(field, ParseDoubleList(line));
+  } else if constexpr (std::is_same_v<T, std::vector<std::vector<size_t>>>) {
+    MDRR_ASSIGN_OR_RETURN(std::vector<size_t> group, ParseIndexList(line));
+    field.push_back(std::move(group));
+  } else {
+    MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
+    MDRR_ASSIGN_OR_RETURN(field.value, field.parse(token));
   }
-  return out;
+  return Status::OK();
+}
+
+struct SpecPrinter {
+  template <typename T>
+  void operator()(const char* key, const T& value, bool print = true) {
+    if (print) PrintField(out, key, value);
+  }
+  std::string out;
+};
+
+// Parses `line` into the field its key names.
+struct SpecLineParser {
+  template <typename T>
+  void operator()(const char* key, T&& field, bool /*print*/ = true) {
+    if (matched || line.key != key) return;
+    matched = true;
+    status = ParseField(line, field);
+  }
+  const SpecLine& line;
+  bool matched = false;
+  Status status = Status::OK();
+};
+
+}  // namespace
+
+std::string PrintReleaseSpec(const ReleaseSpec& spec) {
+  SpecPrinter printer{std::string(kSpecHeader) + "\n"};
+  ForEachSpecField(spec, printer);
+  return printer.out;
 }
 
 StatusOr<ReleaseSpec> ParseReleaseSpec(const std::string& text) {
   std::vector<SpecLine> lines = TokenizeLines(text);
-  if (lines.empty() || lines.front().key + (lines.front().rest.empty()
-                                                ? ""
-                                                : " " + lines.front().rest) !=
-                           kSpecHeader) {
-    return Status::InvalidArgument(std::string("expected header '") +
-                                   kSpecHeader + "'");
-  }
-
+  MDRR_RETURN_IF_ERROR(CheckHeader(lines, kSpecHeader));
   ReleaseSpec spec;
   for (size_t i = 1; i < lines.size(); ++i) {
-    const SpecLine& line = lines[i];
-    const std::string& key = line.key;
-    if (key == "dataset.source") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.dataset.source,
-                            DatasetSourceFromString(token));
-    } else if (key == "dataset.csv_path") {
-      spec.dataset.csv_path = line.rest;
-    } else if (key == "dataset.csv_has_header") {
-      MDRR_ASSIGN_OR_RETURN(spec.dataset.csv_has_header, ParseBool(line));
-    } else if (key == "dataset.synthetic_records") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      spec.dataset.synthetic_records = static_cast<size_t>(value);
-    } else if (key == "dataset.synthetic_seed") {
-      MDRR_ASSIGN_OR_RETURN(spec.dataset.synthetic_seed, ParseOneUint(line));
-    } else if (key == "budget.keep_probability") {
-      MDRR_ASSIGN_OR_RETURN(spec.budget.keep_probability,
-                            ParseOneDouble(line));
-    } else if (key == "budget.dependence_keep_probability") {
-      MDRR_ASSIGN_OR_RETURN(spec.budget.dependence_keep_probability,
-                            ParseOneDouble(line));
-    } else if (key == "budget.max_total_epsilon") {
-      MDRR_ASSIGN_OR_RETURN(spec.budget.max_total_epsilon,
-                            ParseOneDouble(line));
-    } else if (key == "mechanism.kind") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.kind,
-                            MechanismKindFromString(token));
-    } else if (key == "mechanism.joint_attributes") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.joint_attributes,
-                            ParseIndexList(line));
-    } else if (key == "mechanism.clustering.max_combinations") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.clustering.max_combinations,
-                            ParseOneDouble(line));
-    } else if (key == "mechanism.clustering.min_dependence") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.clustering.min_dependence,
-                            ParseOneDouble(line));
-    } else if (key == "mechanism.dependence_source") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.dependence_source,
-                            DependenceSourceFromString(token));
-    } else if (key == "mechanism.use_paper_epsilon_formula") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.use_paper_epsilon_formula,
-                            ParseBool(line));
-    } else if (key == "mechanism.geometric_epsilon") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.geometric_epsilon,
-                            ParseOneDouble(line));
-    } else if (key == "frequency_oracle.backend") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.frequency_oracle.backend,
-                            OracleBackendFromString(token));
-    } else if (key == "frequency_oracle.epsilon") {
-      MDRR_ASSIGN_OR_RETURN(spec.frequency_oracle.epsilon,
-                            ParseOneDouble(line));
-    } else if (key == "adjustment.enabled") {
-      MDRR_ASSIGN_OR_RETURN(spec.adjustment.enabled, ParseBool(line));
-    } else if (key == "adjustment.max_iterations") {
-      MDRR_ASSIGN_OR_RETURN(int64_t value, ParseOneInt(line));
-      spec.adjustment.max_iterations = static_cast<int>(value);
-    } else if (key == "adjustment.tolerance") {
-      MDRR_ASSIGN_OR_RETURN(spec.adjustment.tolerance, ParseOneDouble(line));
-    } else if (key == "adjustment.group") {
-      MDRR_ASSIGN_OR_RETURN(std::vector<size_t> group, ParseIndexList(line));
-      spec.adjustment.groups.push_back(std::move(group));
-    } else if (key == "synthetic.enabled") {
-      MDRR_ASSIGN_OR_RETURN(spec.synthetic.enabled, ParseBool(line));
-    } else if (key == "synthetic.records") {
-      MDRR_ASSIGN_OR_RETURN(spec.synthetic.records, ParseOneInt(line));
-    } else if (key == "evaluation.utility_report") {
-      MDRR_ASSIGN_OR_RETURN(spec.evaluation.utility_report, ParseBool(line));
-    } else if (key == "evaluation.sigmas") {
-      MDRR_ASSIGN_OR_RETURN(spec.evaluation.sigmas, ParseDoubleList(line));
-    } else if (key == "evaluation.queries_per_sigma") {
-      MDRR_ASSIGN_OR_RETURN(int64_t value, ParseOneInt(line));
-      spec.evaluation.queries_per_sigma = static_cast<int>(value);
-    } else if (key == "evaluation.seed") {
-      MDRR_ASSIGN_OR_RETURN(spec.evaluation.seed, ParseOneUint(line));
-    } else if (key == "streaming.enabled") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.enabled, ParseBool(line));
-    } else if (key == "streaming.window_kind") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.window_kind,
-                            WindowKindFromString(token));
-    } else if (key == "streaming.window_size") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.window_size, ParseOneUint(line));
-    } else if (key == "streaming.window_stride") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.window_stride, ParseOneUint(line));
-    } else if (key == "streaming.window_epsilon") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.window_epsilon,
-                            ParseOneDouble(line));
-    } else if (key == "streaming.max_windows") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.max_windows, ParseOneUint(line));
-    } else if (key == "execution.policy") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.execution.kind, PolicyKindFromString(token));
-    } else if (key == "execution.seed") {
-      MDRR_ASSIGN_OR_RETURN(spec.execution.seed, ParseOneUint(line));
-    } else if (key == "execution.num_threads") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      spec.execution.num_threads = static_cast<size_t>(value);
-    } else if (key == "execution.shard_size") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      spec.execution.shard_size = static_cast<size_t>(value);
-    } else if (key == "execution.rng") {
-      // Absent in pre-philox spec files; the field default keeps those
-      // parsing as mt19937.
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.execution.rng, RngKindFromString(token));
-    } else if (key == "execution.num_workers") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      spec.execution.num_workers = static_cast<size_t>(value);
-    } else if (key == "execution.listen_port") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      if (value > 65535) {
-        return Status::InvalidArgument(
-            "execution.listen_port must be a TCP port (0-65535)");
-      }
-      spec.execution.listen_port = static_cast<uint16_t>(value);
-    } else if (key == "execution.worker_deadline_ms") {
-      MDRR_ASSIGN_OR_RETURN(spec.execution.worker_deadline_ms,
-                            ParseOneInt(line));
-    } else if (key == "output.randomized_csv") {
-      spec.output.randomized_csv = line.rest;
-    } else if (key == "output.synthetic_csv") {
-      spec.output.synthetic_csv = line.rest;
-    } else if (key == "output.artifacts") {
-      spec.output.artifacts_path = line.rest;
-    } else {
-      return Status::InvalidArgument("unknown spec key '" + key + "'");
+    SpecLineParser parser{lines[i]};
+    ForEachSpecField(spec, parser);
+    if (!parser.matched) {
+      return Status::InvalidArgument("unknown spec key '" + lines[i].key +
+                                     "'");
     }
+    MDRR_RETURN_IF_ERROR(parser.status);
   }
   return spec;
 }
@@ -535,13 +492,7 @@ std::string PrintReleaseArtifacts(const ReleaseArtifacts& artifacts) {
 
 StatusOr<ReleaseArtifacts> ParseReleaseArtifacts(const std::string& text) {
   std::vector<SpecLine> lines = TokenizeLines(text);
-  if (lines.empty() || lines.front().key + (lines.front().rest.empty()
-                                                ? ""
-                                                : " " + lines.front().rest) !=
-                           kArtifactsHeader) {
-    return Status::InvalidArgument(std::string("expected header '") +
-                                   kArtifactsHeader + "'");
-  }
+  MDRR_RETURN_IF_ERROR(CheckHeader(lines, kArtifactsHeader));
 
   ReleaseArtifacts artifacts;
   uint64_t declared_marginals = 0;
@@ -709,13 +660,7 @@ std::string PrintStreamingSnapshot(const StreamingSnapshot& snapshot) {
 
 StatusOr<StreamingSnapshot> ParseStreamingSnapshot(const std::string& text) {
   std::vector<SpecLine> lines = TokenizeLines(text);
-  if (lines.empty() || lines.front().key + (lines.front().rest.empty()
-                                                ? ""
-                                                : " " + lines.front().rest) !=
-                           kSnapshotHeader) {
-    return Status::InvalidArgument(std::string("expected header '") +
-                                   kSnapshotHeader + "'");
-  }
+  MDRR_RETURN_IF_ERROR(CheckHeader(lines, kSnapshotHeader));
 
   StreamingSnapshot snapshot;
   for (size_t i = 1; i < lines.size(); ++i) {

@@ -4,6 +4,8 @@
 #include <set>
 #include <string>
 
+#include "mdrr/common/string_util.h"
+
 namespace mdrr::release {
 
 bool operator==(const DatasetSpec& a, const DatasetSpec& b) {
@@ -78,130 +80,73 @@ bool operator==(const ReleaseSpec& a, const ReleaseSpec& b) {
          a.output == b.output;
 }
 
+namespace {
+
+constexpr EnumToken<MechanismKind> kMechanismTokens[] = {
+    {MechanismKind::kIndependent, "independent"},
+    {MechanismKind::kJoint, "joint"},
+    {MechanismKind::kClusters, "clusters"},
+    {MechanismKind::kPram, "pram"},
+    {MechanismKind::kGeometricOrdinal, "geometric-ordinal"},
+};
+constexpr EnumToken<PolicyKind> kPolicyTokens[] = {
+    {PolicyKind::kSequential, "sequential"},
+    {PolicyKind::kSharded, "sharded"},
+    {PolicyKind::kDistributed, "distributed"},
+};
+constexpr EnumToken<RngKind> kRngTokens[] = {
+    {RngKind::kMt19937, "mt19937"},
+    {RngKind::kPhilox, "philox"},
+};
+constexpr EnumToken<DatasetSpec::Source> kSourceTokens[] = {
+    {DatasetSpec::Source::kProvided, "provided"},
+    {DatasetSpec::Source::kCsvFile, "csv"},
+    {DatasetSpec::Source::kSyntheticAdult, "synthetic-adult"},
+};
+constexpr EnumToken<DependenceSource> kDependenceTokens[] = {
+    {DependenceSource::kOracle, "oracle"},
+    {DependenceSource::kRandomizedResponse, "rr"},
+    {DependenceSource::kSecureSum, "securesum"},
+    {DependenceSource::kPairwiseRr, "pairwise"},
+    {DependenceSource::kProvided, "provided"},
+};
+constexpr EnumToken<WindowKind> kWindowTokens[] = {
+    {WindowKind::kTumbling, "tumbling"},
+    {WindowKind::kSliding, "sliding"},
+};
+
+}  // namespace
+
 const char* ToString(MechanismKind kind) {
-  switch (kind) {
-    case MechanismKind::kIndependent:
-      return "independent";
-    case MechanismKind::kJoint:
-      return "joint";
-    case MechanismKind::kClusters:
-      return "clusters";
-    case MechanismKind::kPram:
-      return "pram";
-    case MechanismKind::kGeometricOrdinal:
-      return "geometric-ordinal";
-  }
-  return "unknown";
+  return TokenFor(kMechanismTokens, kind);
 }
-
-const char* ToString(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kSequential:
-      return "sequential";
-    case PolicyKind::kSharded:
-      return "sharded";
-    case PolicyKind::kDistributed:
-      return "distributed";
-  }
-  return "unknown";
-}
-
+const char* ToString(PolicyKind kind) { return TokenFor(kPolicyTokens, kind); }
+const char* ToString(RngKind kind) { return TokenFor(kRngTokens, kind); }
 const char* ToString(DatasetSpec::Source source) {
-  switch (source) {
-    case DatasetSpec::Source::kProvided:
-      return "provided";
-    case DatasetSpec::Source::kCsvFile:
-      return "csv";
-    case DatasetSpec::Source::kSyntheticAdult:
-      return "synthetic-adult";
-  }
-  return "unknown";
+  return TokenFor(kSourceTokens, source);
 }
-
 const char* ToString(DependenceSource source) {
-  switch (source) {
-    case DependenceSource::kOracle:
-      return "oracle";
-    case DependenceSource::kRandomizedResponse:
-      return "rr";
-    case DependenceSource::kSecureSum:
-      return "securesum";
-    case DependenceSource::kPairwiseRr:
-      return "pairwise";
-    case DependenceSource::kProvided:
-      return "provided";
-  }
-  return "unknown";
+  return TokenFor(kDependenceTokens, source);
 }
+const char* ToString(WindowKind kind) { return TokenFor(kWindowTokens, kind); }
 
 StatusOr<MechanismKind> MechanismKindFromString(std::string_view token) {
-  if (token == "independent") return MechanismKind::kIndependent;
-  if (token == "joint") return MechanismKind::kJoint;
-  if (token == "clusters") return MechanismKind::kClusters;
-  if (token == "pram") return MechanismKind::kPram;
-  if (token == "geometric-ordinal") return MechanismKind::kGeometricOrdinal;
-  return Status::InvalidArgument("unknown mechanism kind '" +
-                                 std::string(token) + "'");
+  return ValueFor(kMechanismTokens, token, "mechanism kind");
 }
-
 StatusOr<PolicyKind> PolicyKindFromString(std::string_view token) {
-  if (token == "sequential") return PolicyKind::kSequential;
-  if (token == "sharded") return PolicyKind::kSharded;
-  if (token == "distributed") return PolicyKind::kDistributed;
-  return Status::InvalidArgument("unknown execution policy '" +
-                                 std::string(token) + "'");
+  return ValueFor(kPolicyTokens, token, "execution policy");
 }
-
-const char* ToString(RngKind kind) {
-  switch (kind) {
-    case RngKind::kMt19937:
-      return "mt19937";
-    case RngKind::kPhilox:
-      return "philox";
-  }
-  return "unknown";
-}
-
 StatusOr<RngKind> RngKindFromString(std::string_view token) {
-  if (token == "mt19937") return RngKind::kMt19937;
-  if (token == "philox") return RngKind::kPhilox;
-  return Status::InvalidArgument("unknown rng policy '" + std::string(token) +
-                                 "'");
+  return ValueFor(kRngTokens, token, "rng policy");
 }
-
-const char* ToString(WindowKind kind) {
-  switch (kind) {
-    case WindowKind::kTumbling:
-      return "tumbling";
-    case WindowKind::kSliding:
-      return "sliding";
-  }
-  return "unknown";
-}
-
 StatusOr<WindowKind> WindowKindFromString(std::string_view token) {
-  if (token == "tumbling") return WindowKind::kTumbling;
-  if (token == "sliding") return WindowKind::kSliding;
-  return Status::InvalidArgument("unknown window kind '" +
-                                 std::string(token) + "'");
+  return ValueFor(kWindowTokens, token, "window kind");
 }
-
 StatusOr<DatasetSpec::Source> DatasetSourceFromString(std::string_view token) {
-  if (token == "provided") return DatasetSpec::Source::kProvided;
-  if (token == "csv") return DatasetSpec::Source::kCsvFile;
-  if (token == "synthetic-adult") return DatasetSpec::Source::kSyntheticAdult;
-  return Status::InvalidArgument("unknown dataset source '" +
-                                 std::string(token) + "'");
+  return ValueFor(kSourceTokens, token, "dataset source");
 }
-
 StatusOr<DependenceSource> DependenceSourceFromString(std::string_view token) {
-  if (token == "oracle") return DependenceSource::kOracle;
-  if (token == "rr") return DependenceSource::kRandomizedResponse;
-  if (token == "securesum") return DependenceSource::kSecureSum;
-  if (token == "pairwise") return DependenceSource::kPairwiseRr;
-  if (token == "provided") return DependenceSource::kProvided;
-  return Status::InvalidArgument("unknown dependence source '" +
-                                 std::string(token) + "'");
+  return ValueFor(kDependenceTokens, token, "dependence source");
 }
 
 namespace {

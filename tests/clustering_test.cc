@@ -1,3 +1,4 @@
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,6 +113,16 @@ TEST(ClusteringTest, RejectsBadInput) {
       ClusterAttributes({2, 2, 2}, deps, ClusteringOptions{10, 0.1}).ok());
   EXPECT_FALSE(
       ClusterAttributes({2, 2}, deps, ClusteringOptions{0.5, 0.1}).ok());
+}
+
+TEST(ClusteringTest, RejectsNanTv) {
+  // A NaN Tv fails every comparison, so it must not slip past a `< 1`
+  // check and then refuse every merge.
+  linalg::Matrix deps = MakeDependences(2, {{0, 1, 0.9}});
+  StatusOr<AttributeClustering> clusters = ClusterAttributes(
+      {2, 2}, deps,
+      ClusteringOptions{std::numeric_limits<double>::quiet_NaN(), 0.1});
+  EXPECT_EQ(clusters.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ClusteringTest, ClusterCombinations) {

@@ -1,5 +1,6 @@
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
@@ -161,6 +162,26 @@ TEST(FlagsTest, MalformedPrivacyFlagIsRecorded) {
   EXPECT_NE(status.message().find("--p='O.9'"), std::string::npos);
   EXPECT_EQ(flags.GetInt("runs", 7), 7);
   EXPECT_EQ(flags.malformed(), (std::set<std::string>{"p", "runs"}));
+}
+
+TEST(FlagsTest, OutOfRangeIntIsRecorded) {
+  // A negative count must not wrap into a huge size_t, and a value past
+  // the target type must not truncate (4294967297 -> 1 as an int).
+  const char* argv[] = {"prog", "--shards=-1", "--iters=4294967297",
+                        "--port=65535", "--threads=0", "--seed=-3"};
+  FlagSet flags;
+  flags.Parse(6, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("shards", 1, 1), 1);
+  EXPECT_EQ(flags.GetInt("iters", 100, 1, std::numeric_limits<int>::max()),
+            100);
+  EXPECT_EQ(flags.GetInt("port", 0, 0, 65535), 65535);  // Bounds inclusive.
+  EXPECT_EQ(flags.GetInt("threads", 4, 0), 0);
+  EXPECT_EQ(flags.GetInt("seed", 1), -3);  // Default range: all of int64.
+  EXPECT_EQ(flags.malformed(), (std::set<std::string>{"iters", "shards"}));
+  Status status = flags.status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--shards='-1'"), std::string::npos);
+  EXPECT_NE(status.message().find("--iters='4294967297'"), std::string::npos);
 }
 
 TEST(FlagsTest, UnknownFlagNameIsReported) {

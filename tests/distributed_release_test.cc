@@ -214,15 +214,6 @@ TEST(DistributedSpecTest, ValidationRejectsContradictions) {
   EXPECT_FALSE(release::ReleasePlanner::Plan(spec, &data).ok());
 }
 
-TEST(DistributedSpecTest, ControllerPlanRejectsDistributed) {
-  release::ExecutionPolicy policy;
-  policy.kind = release::PolicyKind::kDistributed;
-  policy.num_workers = 2;
-  EXPECT_FALSE(
-      release::ReleasePlanner::PlanController(ClusteringOptions{}, policy)
-          .ok());
-}
-
 // ---------------------------------------------------------------------------
 // Failure contract: fail-closed, never a partial transcript.
 // ---------------------------------------------------------------------------

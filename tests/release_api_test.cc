@@ -322,6 +322,26 @@ TEST(ReleaseSpecSerialization, DefaultSpecRoundTrips) {
 }
 
 TEST(ReleaseSpecSerialization, FullyPopulatedSpecRoundTrips) {
+  // Every section non-default, including the conditionally printed
+  // ones: distributed fields, an oracle section with an explicit epsilon,
+  // repeated adjustment groups, and a path with a space.
+  release::ReleaseSpec every_section;
+  every_section.dataset.source = release::DatasetSpec::Source::kCsvFile;
+  every_section.dataset.csv_path = "/tmp/my data.csv";
+  every_section.mechanism.kind = release::MechanismKind::kIndependent;
+  every_section.frequency_oracle.backend = OracleBackend::kLocalHashing;
+  every_section.frequency_oracle.epsilon = 1.25;
+  every_section.adjustment.enabled = true;
+  every_section.adjustment.groups = {{1}, {0}};
+  every_section.evaluation.sigmas = {0.15, 0.35};
+  every_section.execution.kind = release::PolicyKind::kDistributed;
+  every_section.execution.num_workers = 3;
+  every_section.execution.listen_port = 7901;
+  every_section.execution.worker_deadline_ms = 2500;
+  every_section.output.randomized_csv = "/tmp/out dir/y.csv";
+  every_section.output.synthetic_csv = "/tmp/s.csv";
+  every_section.output.artifacts_path = "/tmp/a.txt";
+
   release::ReleaseSpec spec;
   spec.dataset.source = release::DatasetSpec::Source::kCsvFile;
   spec.dataset.csv_path = "/tmp/data.csv";
@@ -355,12 +375,14 @@ TEST(ReleaseSpecSerialization, FullyPopulatedSpecRoundTrips) {
   spec.output.synthetic_csv = "/tmp/s.csv";
   spec.output.artifacts_path = "/tmp/a.txt";
 
-  std::string text = release::PrintReleaseSpec(spec);
-  auto parsed = release::ParseReleaseSpec(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_TRUE(parsed.value() == spec);
-  // Printing the parse reproduces the text exactly.
-  EXPECT_EQ(release::PrintReleaseSpec(parsed.value()), text);
+  for (const release::ReleaseSpec& input : {spec, every_section}) {
+    std::string text = release::PrintReleaseSpec(input);
+    auto parsed = release::ParseReleaseSpec(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_TRUE(parsed.value() == input);
+    // Printing the parse reproduces the text exactly.
+    EXPECT_EQ(release::PrintReleaseSpec(parsed.value()), text);
+  }
 }
 
 TEST(ReleaseSpecSerialization, SignedFieldsRoundTripEvenWhenInvalid) {
@@ -372,6 +394,24 @@ TEST(ReleaseSpecSerialization, SignedFieldsRoundTripEvenWhenInvalid) {
   auto parsed = release::ParseReleaseSpec(release::PrintReleaseSpec(spec));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_TRUE(parsed.value() == spec);
+}
+
+TEST(ReleaseSpecSerialization, OutOfRangeIntegersFailToParse) {
+  // Narrow integer fields reject what they cannot hold instead of
+  // truncating it (4294967297 would become 1 as an int).
+  const std::string text =
+      release::PrintReleaseSpec(release::ReleaseSpec{});
+  for (const char* line : {"adjustment.max_iterations 4294967297",
+                           "evaluation.queries_per_sigma 4294967296",
+                           "adjustment.max_iterations -2147483649",
+                           "execution.listen_port 65536"}) {
+    auto parsed = release::ParseReleaseSpec(text + line + "\n");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  auto widest = release::ParseReleaseSpec(
+      text + "adjustment.max_iterations 2147483647\n");
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest.value().adjustment.max_iterations, 2147483647);
 }
 
 TEST(ReleaseSpecSerialization, CommentsAndUnknownKeys) {

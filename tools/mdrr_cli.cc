@@ -74,13 +74,16 @@
 //       Disclosure-risk analysis of a KeepUniform design: epsilon,
 //       posterior best-guess confidences, expected attacker success.
 //
-// Every command exits 1 on a malformed flag value (--p=O.9) or a flag it
-// does not read (--thraeds=4), before doing any work.
+// Every command exits 1 on a malformed flag value (--p=O.9), a count
+// outside its range (--threads=-1, --shard=0, --adjust_iters=0, --r=1,
+// --listen=65536, --workers=0), or a flag it does not read (--thraeds=4),
+// before doing any work.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -194,8 +197,8 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
       release::DependenceSourceFromString(flags.GetString("dep", "rr")));
 
   spec.adjustment.enabled = flags.GetBool("adjust", false);
-  spec.adjustment.max_iterations =
-      static_cast<int>(flags.GetInt("adjust_iters", 100));
+  spec.adjustment.max_iterations = static_cast<int>(
+      flags.GetInt("adjust_iters", 100, 1, std::numeric_limits<int>::max()));
 
   spec.synthetic.enabled = flags.Has("synthetic_out");
   spec.evaluation.utility_report = flags.GetBool("report", false);
@@ -203,14 +206,11 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
   // Any explicit --threads (including 1) selects the sharded policy, so
   // the flag's value never changes the output.
   if (flags.Has("threads")) {
-    const int64_t threads = flags.GetInt("threads", 0);
-    if (threads < 0) {
-      return Status::InvalidArgument("--threads must be >= 0");
-    }
     spec.execution.kind = release::PolicyKind::kSharded;
-    spec.execution.num_threads = static_cast<size_t>(threads);
+    spec.execution.num_threads =
+        static_cast<size_t>(flags.GetInt("threads", 0, 0));
     spec.execution.shard_size =
-        static_cast<size_t>(flags.GetInt("shard", 1 << 16));
+        static_cast<size_t>(flags.GetInt("shard", 1 << 16, 1));
   }
   spec.execution.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   MDRR_ASSIGN_OR_RETURN(
@@ -244,10 +244,11 @@ int RunStreamingSpec(const FlagSet& flags,
   namespace release = mdrr::release;
   mdrr::protocol::StreamingReplayOptions options;
   options.num_ingest_threads =
-      static_cast<size_t>(flags.GetInt("ingest_threads", 1));
+      static_cast<size_t>(flags.GetInt("ingest_threads", 1, 1));
   options.collector.num_shards =
-      static_cast<size_t>(flags.GetInt("shards", 1));
-  options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
+      static_cast<size_t>(flags.GetInt("shards", 1, 1));
+  options.total_reports =
+      static_cast<uint64_t>(flags.GetInt("reports", 0, 0));
   if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   StatusOr<Dataset> dataset = [&]() -> StatusOr<Dataset> {
     switch (spec.dataset.source) {
@@ -297,19 +298,13 @@ int CmdRun(const FlagSet& flags) {
   // bit-identical to the sharded policy at the same (seed, shard,
   // rng) for any worker count.
   if (flags.Has("listen")) {
-    const int64_t port = flags.GetInt("listen", 0);
-    if (port < 0 || port > 65535) {
-      return Fail(Status::InvalidArgument("--listen must be 0..65535"));
-    }
     spec.execution.kind = release::PolicyKind::kDistributed;
-    spec.execution.listen_port = static_cast<uint16_t>(port);
+    spec.execution.listen_port =
+        static_cast<uint16_t>(flags.GetInt("listen", 0, 0, 65535));
   }
   if (flags.Has("workers")) {
-    const int64_t workers = flags.GetInt("workers", 0);
-    if (workers < 1) {
-      return Fail(Status::InvalidArgument("--workers must be >= 1"));
-    }
-    spec.execution.num_workers = static_cast<size_t>(workers);
+    spec.execution.num_workers =
+        static_cast<size_t>(flags.GetInt("workers", 1, 1));
   }
   if (flags.Has("worker_deadline_ms")) {
     spec.execution.worker_deadline_ms = flags.GetInt("worker_deadline_ms", 0);
@@ -530,11 +525,10 @@ int CmdSweep(const FlagSet& flags) {
 }
 
 int CmdRisk(const FlagSet& flags) {
-  const size_t r = static_cast<size_t>(flags.GetInt("r", 4));
+  const size_t r = static_cast<size_t>(flags.GetInt("r", 4, 2));
   const double p = flags.GetDouble("p", 0.7);
   const std::string prior_flag = flags.GetString("prior", "");
   if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
-  if (r < 2) return Fail(Status::InvalidArgument("--r must be >= 2"));
 
   std::vector<double> prior(r, 1.0 / static_cast<double>(r));
   if (!prior_flag.empty()) {

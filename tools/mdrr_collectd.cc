@@ -3,9 +3,10 @@
 //   mdrr_collectd --spec=stream.spec --input=reports.csv [--no_header]
 //       [--reports=N]          total reports to stream (0 = one per row;
 //                              beyond num_rows the replay wraps around)
-//       [--ingest_threads=T]   producer threads (never changes output)
-//       [--shards=S]           ingest shards / drain threads
-//       [--ring_buckets=B]     live buckets in the count ring
+//       [--ingest_threads=T]   producer threads, >= 1 (never changes
+//                              output)
+//       [--shards=S]           ingest shards / drain threads, >= 1
+//       [--ring_buckets=B]     live buckets in the count ring, >= 2
 //       [--pause_at=N]         stop before sequence N and snapshot
 //       [--snapshot_out=FILE]  where the pause snapshot goes
 //       [--resume=FILE]        continue from a saved snapshot
@@ -22,7 +23,7 @@
 //       the same window transcript the in-process replay prints.
 //
 //   mdrr_collectd --spec=stream.spec --input=reports.csv --connect=HOST:PORT
-//       [--reports=N] [--batch=K] [--deadline_ms=MS]
+//       [--reports=N] [--batch=K (>= 1)] [--deadline_ms=MS]
 //       Party side: perturb the CSV rows locally (sequence-keyed
 //       randomness, so the server never sees true values) and stream
 //       them to a --listen instance.
@@ -37,11 +38,12 @@
 //
 // Exit status: 0 on success (including budget-suppressed windows --
 // that is the fail-closed degraded mode, not an error), 1 otherwise. A
-// malformed flag value or a flag the mode does not read exits 1 before
-// any report is ingested.
+// malformed flag value, a count outside its range (--shards=-1), or a
+// flag the mode does not read exits 1 before any report is ingested.
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,11 +89,12 @@ StatusOr<protocol::StreamingReplayResult> Run(
   protocol::StreamingReplayOptions options;
   options.num_ingest_threads = ingest_threads;
   options.collector.num_shards =
-      static_cast<size_t>(flags.GetInt("shards", 1));
+      static_cast<size_t>(flags.GetInt("shards", 1, 1));
   options.collector.ring_buckets =
-      static_cast<size_t>(flags.GetInt("ring_buckets", 4));
-  options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
-  options.pause_at = static_cast<uint64_t>(flags.GetInt("pause_at", 0));
+      static_cast<size_t>(flags.GetInt("ring_buckets", 4, 2));
+  options.total_reports =
+      static_cast<uint64_t>(flags.GetInt("reports", 0, 0));
+  options.pause_at = static_cast<uint64_t>(flags.GetInt("pause_at", 0, 0));
   options.resume = resume;
   MDRR_RETURN_IF_ERROR(flags.status());
   return protocol::RunStreamingReplay(spec, dataset, options);
@@ -100,17 +103,14 @@ StatusOr<protocol::StreamingReplayResult> Run(
 // Socket server: accept one ingest client, run the collector on its
 // reports, print the transcript.
 int ServeSocket(const FlagSet& flags, const release::ReleaseSpec& spec) {
-  const int64_t port = flags.GetInt("listen", 0);
+  const int64_t port = flags.GetInt("listen", 0, 0, 65535);
   protocol::StreamIngestServeOptions options;
   options.collector.num_shards =
-      static_cast<size_t>(flags.GetInt("shards", 1));
+      static_cast<size_t>(flags.GetInt("shards", 1, 1));
   options.collector.ring_buckets =
-      static_cast<size_t>(flags.GetInt("ring_buckets", 4));
+      static_cast<size_t>(flags.GetInt("ring_buckets", 4, 2));
   options.deadline_ms = flags.GetInt("deadline_ms", 0);
   if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
-  if (port < 0 || port > 65535) {
-    return Fail(Status::InvalidArgument("--listen must be 0..65535"));
-  }
   mdrr::net::TcpListener listener;
   Status bound = listener.Listen(static_cast<uint16_t>(port));
   if (!bound.ok()) return Fail(bound);
@@ -142,8 +142,10 @@ int ConnectSocket(const FlagSet& flags, const release::ReleaseSpec& spec,
   }
 
   protocol::StreamIngestClientOptions options;
-  options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
-  options.batch_size = static_cast<uint32_t>(flags.GetInt("batch", 512));
+  options.total_reports =
+      static_cast<uint64_t>(flags.GetInt("reports", 0, 0));
+  options.batch_size = static_cast<uint32_t>(
+      flags.GetInt("batch", 512, 1, std::numeric_limits<uint32_t>::max()));
   options.deadline_ms = flags.GetInt("deadline_ms", 0);
   if (Status parsed = flags.status(); !parsed.ok()) return Fail(parsed);
   auto sent = protocol::StreamReportsOverSocket(
@@ -208,7 +210,7 @@ int Main(const FlagSet& flags) {
   }
 
   const size_t ingest_threads =
-      static_cast<size_t>(flags.GetInt("ingest_threads", 1));
+      static_cast<size_t>(flags.GetInt("ingest_threads", 1, 1));
   // Read before Run checks the flags, which rejects any flag never read.
   const std::string windows_out = flags.GetString("windows_out", "");
   const std::string snapshot_out = flags.GetString("snapshot_out", "");
