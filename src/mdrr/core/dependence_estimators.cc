@@ -128,15 +128,6 @@ DependenceEstimate RandomizedResponseDependencesSharded(
   return result;
 }
 
-DependenceEstimate RandomizedResponseDependencesSharded(
-    const Dataset& dataset, double keep_probability, uint64_t seed,
-    const DependenceShardingOptions& sharding) {
-  DependenceEstimatorOptions options;
-  options.sharding = sharding;
-  return RandomizedResponseDependencesSharded(dataset, keep_probability, seed,
-                                              options);
-}
-
 StatusOr<DependenceEstimate> SecureSumDependences(
     const Dataset& dataset, mpc::SimulationMode mode, uint64_t seed,
     const DependenceEstimatorOptions& options) {

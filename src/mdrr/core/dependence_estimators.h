@@ -81,12 +81,6 @@ DependenceEstimate RandomizedResponseDependencesSharded(
     const Dataset& dataset, double keep_probability, uint64_t seed,
     const DependenceEstimatorOptions& options);
 
-// Back-compat form: mt19937 publication + sharded statistics (exactly
-// the historical transcript).
-DependenceEstimate RandomizedResponseDependencesSharded(
-    const Dataset& dataset, double keep_probability, uint64_t seed,
-    const DependenceShardingOptions& sharding);
-
 // Section 4.2: exact bivariate distributions through the secure-sum
 // protocol; no masking, so no differential privacy (epsilon = +inf) but
 // unlinkability of pairs. `mode` selects literal vs fast simulation.

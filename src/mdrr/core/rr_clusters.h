@@ -56,23 +56,17 @@ struct RrClustersResult {
   linalg::Matrix dependences;
 };
 
-// Runs the configured dependence-assessment round (the building block
-// RunRrClusters and BatchPerturbationEngine share). Fails if
-// dependence_source is kProvided with no matrix supplied.
-StatusOr<DependenceEstimate> AssessDependences(const Dataset& dataset,
-                                               const RrClustersOptions& options,
-                                               Rng& rng);
-
 // Sharded dependence assessment. Every estimator shards now: kOracle
 // and kRandomizedResponse through the DependenceMatrixSharded pair grid,
 // kSecureSum and kPairwiseRr through the stream-per-pair estimators of
 // dependence_estimators.h (pair p draws on stream 1 + p, so the pair
 // grid parallelizes with output bit-identical at any thread count and
 // shard grain under both RNG policies). Only kProvided falls back to
-// the sequential assessment -- it computes nothing. `estimator.rng`
-// selects the draw addressing (kPhilox additionally shards record
-// ranges); the estimator seed is still drawn from `rng`, exactly one
-// engine word per source, like the sequential path.
+// the sequential assessment -- it computes nothing, and fails if no
+// matrix was supplied. `estimator.rng` selects the draw addressing
+// (kPhilox additionally shards record ranges); the estimator seed is
+// still drawn from `rng`, exactly one engine word per source, like the
+// sequential path.
 StatusOr<DependenceEstimate> AssessDependencesSharded(
     const Dataset& dataset, const RrClustersOptions& options, Rng& rng,
     const DependenceEstimatorOptions& estimator);
@@ -95,8 +89,8 @@ StatusOr<RrClustersResult> RunRrClusters(const Dataset& dataset,
 // over `postprocess_threads` workers (0 = one per core) with
 // bit-identical output at any thread count. When `assessment_estimator`
 // is non-null the dependence round runs through AssessDependencesSharded
-// instead of AssessDependences (its sharding + RNG-kind options route
-// into the estimators); not owned.
+// instead of the sequential assessment (its sharding + RNG-kind options
+// route into the estimators); not owned.
 StatusOr<RrClustersResult> RunRrClustersWith(
     const Dataset& dataset, const RrClustersOptions& options, Rng& rng,
     const ColumnRunner& run_column, size_t postprocess_threads,

@@ -4,8 +4,8 @@
 // privacy ledger numbers, and the optional post-processing products
 // (adjusted weights, synthetic data, utility report), plus per-stage
 // wall-clock timings. The protocol-specific payload of the mechanism is
-// kept verbatim (see MechanismOutput) so callers can still build the
-// protocol estimators or compare against direct stage calls bit for bit.
+// kept verbatim so callers can still build the protocol estimators or
+// compare against direct stage calls bit for bit.
 
 #ifndef MDRR_RELEASE_ARTIFACTS_H_
 #define MDRR_RELEASE_ARTIFACTS_H_
@@ -17,8 +17,11 @@
 
 #include "mdrr/core/adjustment.h"
 #include "mdrr/core/joint_estimate.h"
+#include "mdrr/core/pram.h"
+#include "mdrr/core/rr_clusters.h"
+#include "mdrr/core/rr_independent.h"
+#include "mdrr/core/rr_joint.h"
 #include "mdrr/eval/utility_report.h"
-#include "mdrr/release/mechanism.h"
 
 namespace mdrr::release {
 
@@ -50,10 +53,9 @@ struct ReleaseArtifacts {
   double dependence_epsilon = 0.0;
   double total_epsilon() const { return release_epsilon + dependence_epsilon; }
 
-  // The mechanism's protocol payload (exactly one set; see
-  // MechanismOutput). The payload's own `randomized` dataset member has
-  // been moved into `randomized` above -- everything else is the stage
-  // function's output verbatim.
+  // The mechanism's protocol payload (exactly one set). The payload's
+  // own `randomized` dataset member has been moved into `randomized`
+  // above -- everything else is the stage function's output verbatim.
   std::optional<RrIndependentResult> independent;
   std::optional<RrJointResult> joint;
   std::optional<RrClustersResult> clusters;

@@ -30,12 +30,11 @@
 #define MDRR_RELEASE_PLANNER_H_
 
 #include <functional>
-#include <memory>
 
 #include "mdrr/common/status_or.h"
+#include "mdrr/core/batch_engine.h"
 #include "mdrr/net/coordinator.h"
 #include "mdrr/release/artifacts.h"
-#include "mdrr/release/mechanism.h"
 #include "mdrr/release/spec.h"
 
 namespace mdrr::release {
@@ -62,8 +61,7 @@ class ReleasePlan {
 
  private:
   friend class ReleasePlanner;
-  ReleasePlan(ReleaseSpec spec, Dataset owned, const Dataset* provided,
-              std::unique_ptr<Mechanism> mechanism);
+  ReleasePlan(ReleaseSpec spec, Dataset owned, const Dataset* provided);
 
   // The stage pipeline shared by every policy: exactly one of rng/engine
   // is non-null. `mechanism_check` (optional) runs right after the
@@ -78,7 +76,6 @@ class ReleasePlan {
   // resolved dataset.
   Dataset owned_;
   const Dataset* provided_ = nullptr;
-  std::unique_ptr<Mechanism> mechanism_;
 };
 
 class ReleasePlanner {

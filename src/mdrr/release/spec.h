@@ -26,10 +26,11 @@
 
 namespace mdrr::release {
 
-// Which privacy mechanism perturbs the data. The adapters live in
-// release/mechanism.h; the underlying stage functions (RunRrIndependent,
-// RunRrJoint, RunRrClusters, ApplyPram, BatchPerturbationEngine) are the
-// implementation layer and stay callable directly.
+// Which privacy mechanism perturbs the data. The planner
+// (release/planner.cc) dispatches on it; the underlying stage functions
+// (RunRrIndependent, RunRrJoint, RunRrClusters, ApplyPram,
+// BatchPerturbationEngine) are the implementation layer and stay
+// callable directly.
 enum class MechanismKind {
   kIndependent,  // Protocol 1: per-attribute RR.
   kJoint,        // Protocol 2: one RR over a product domain.

@@ -1,11 +1,13 @@
 #include "mdrr/release/streaming.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <string>
 #include <utility>
 
 #include "mdrr/core/estimator.h"
 #include "mdrr/core/rr_independent.h"
+#include "mdrr/net/frame.h"
 #include "mdrr/stats/frequency.h"
 
 namespace mdrr::release {
@@ -39,6 +41,15 @@ RrIndependentOptions DesignOptions(const ReleaseSpec& spec) {
     options.keep_probability = spec.budget.keep_probability;
   }
   return options;
+}
+
+// `out` = the product of `factors`; false when it overflows 64 bits.
+bool CheckedProduct(std::initializer_list<uint64_t> factors, uint64_t& out) {
+  out = 1;
+  for (uint64_t factor : factors) {
+    if (__builtin_mul_overflow(out, factor, &out)) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -79,6 +90,38 @@ StatusOr<std::unique_ptr<StreamingCollector>> StreamingCollector::Create(
   if (cardinalities.empty()) {
     return Status::InvalidArgument(
         "streaming collection needs at least one attribute");
+  }
+  // The sizes may come from outside the program (a peer's StreamOpen,
+  // collector flags), so the preallocation -- the count ring plus each
+  // shard channel's report nodes -- is bounded like one transport frame
+  // before anything is allocated.
+  constexpr uint64_t kMaxCode = uint64_t{1} << 32;
+  uint64_t width = 0;
+  for (size_t r : cardinalities) {
+    if (r > kMaxCode) {
+      return Status::InvalidArgument(
+          "attribute cardinality " + std::to_string(r) +
+          " exceeds 2^32, the range of a u32 report code");
+    }
+    width += r;
+  }
+  const uint64_t ring = std::max<size_t>(options.ring_buckets, 2);
+  const uint64_t shards = std::max<size_t>(options.num_shards, 1);
+  uint64_t ring_bytes = 0;
+  uint64_t channel_bytes = 0;
+  uint64_t bytes = 0;
+  if (!CheckedProduct({sizeof(int64_t), ring, shards, width}, ring_bytes) ||
+      !CheckedProduct({sizeof(StreamReportNode), shards,
+                       options.channel_capacity},
+                      channel_bytes) ||
+      __builtin_add_overflow(ring_bytes, channel_bytes, &bytes) ||
+      bytes > net::kMaxFramePayload) {
+    return Status::InvalidArgument(
+        "streaming collector of " + std::to_string(ring) + " ring buckets x " +
+        std::to_string(shards) + " shards x " + std::to_string(width) +
+        " summed categories (channel capacity " +
+        std::to_string(options.channel_capacity) + ") exceeds the " +
+        std::to_string(net::kMaxFramePayload) + "-byte allocation bound");
   }
 
   const RrIndependentOptions design = DesignOptions(spec);

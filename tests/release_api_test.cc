@@ -15,6 +15,7 @@
 #include "mdrr/core/rr_clusters.h"
 #include "mdrr/core/rr_independent.h"
 #include "mdrr/core/rr_joint.h"
+#include "mdrr/core/rr_matrix.h"
 #include "mdrr/core/synthetic.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/release/planner.h"
@@ -106,6 +107,18 @@ TEST(ReleaseApiGolden, IndependentSequential) {
   EXPECT_EQ(facade.adjustment->weights, adjusted.value().weights);
   EXPECT_EQ(facade.adjustment->iterations, adjusted.value().iterations);
   ExpectSameData(*facade.synthetic, synthetic.value());
+
+  // An explicit group list selects those attributes' groups, in the
+  // order the spec lists them.
+  spec.adjustment.groups = {{3}, {0}};
+  release::ReleaseArtifacts selected = MustRun(spec, data);
+  const std::vector<AdjustmentGroup> all = GroupsFromIndependent(*direct);
+  auto adjusted_selected = RunRrAdjustment(
+      {all[3], all[0]}, data.num_rows(), DefaultAdjustment());
+  ASSERT_TRUE(adjusted_selected.ok());
+  EXPECT_EQ(selected.adjustment->weights, adjusted_selected.value().weights);
+  EXPECT_EQ(selected.adjustment->iterations,
+            adjusted_selected.value().iterations);
 }
 
 TEST(ReleaseApiGolden, IndependentSharded) {
@@ -189,6 +202,15 @@ TEST(ReleaseApiGolden, JointSharded) {
   EXPECT_EQ(facade.joint->randomized_codes, direct.value().randomized_codes);
   EXPECT_EQ(facade.joint->estimated, direct.value().estimated);
   EXPECT_EQ(facade.release_epsilon, direct.value().epsilon);
+  // The engine-threaded decode equals the per-row decode.
+  ASSERT_EQ(facade.randomized.num_attributes(), attrs.size());
+  for (size_t position = 0; position < attrs.size(); ++position) {
+    for (size_t row = 0; row < data.num_rows(); ++row) {
+      ASSERT_EQ(facade.randomized.at(row, position),
+                direct.value().domain.DecodeAt(
+                    direct.value().randomized_codes[row], position));
+    }
+  }
 }
 
 // --- Clusters: façade == RunRrClusters / engine.RunClusters. ---
@@ -278,15 +300,37 @@ TEST(ReleaseApiGolden, PramBothPolicies) {
   Rng rng(kSeed);
   auto direct = ApplyPram(data, 0.8, rng);
   ASSERT_TRUE(direct.ok());
+  // Algorithm 2 over one group per attribute: the published column and
+  // its estimated marginal.
+  std::vector<AdjustmentGroup> groups;
+  for (size_t j = 0; j < data.num_attributes(); ++j) {
+    groups.push_back(AdjustmentGroup{direct.value().randomized.column(j),
+                                     direct.value().estimated[j]});
+  }
+  BatchPerturbationOptions engine_options;
+  engine_options.seed = kSeed;
+  engine_options.num_threads = 4;
+  engine_options.shard_size = kShard;
+  BatchPerturbationEngine engine(engine_options);
 
   for (release::PolicyKind policy :
        {release::PolicyKind::kSequential, release::PolicyKind::kSharded}) {
     release::ReleaseSpec spec =
         BaseSpec(release::MechanismKind::kPram, policy);
     spec.budget.keep_probability = 0.8;
+    spec.adjustment.enabled = true;
     release::ReleaseArtifacts facade = MustRun(spec, data);
     ExpectSameData(facade.randomized, direct.value().randomized);
     EXPECT_EQ(facade.marginal_estimates, direct.value().estimated);
+
+    auto adjusted =
+        policy == release::PolicyKind::kSequential
+            ? RunRrAdjustment(groups, data.num_rows(), DefaultAdjustment())
+            : engine.RunAdjustment(groups, data.num_rows(),
+                                   DefaultAdjustment());
+    ASSERT_TRUE(adjusted.ok());
+    EXPECT_EQ(facade.adjustment->weights, adjusted.value().weights);
+    EXPECT_EQ(facade.adjustment->iterations, adjusted.value().iterations);
   }
 }
 
@@ -463,6 +507,85 @@ TEST(ReleaseApi, BudgetCapFailsClosed) {
   auto artifacts = plan.value().Run();
   ASSERT_FALSE(artifacts.ok());
   EXPECT_EQ(artifacts.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// The privacy ledger through the façade, recomputed from each
+// mechanism's own matrices rather than read back from its payload, and
+// summed in attribute (or cluster) order like the mechanism does.
+TEST(ReleaseApi, EpsilonLedgerMatchesMechanismMatrices) {
+  Dataset data = TestData();
+  auto cardinality = [&data](size_t j) {
+    return data.attribute(j).cardinality();
+  };
+  // RR-Joint over `attrs` at the Section 6.3.2 calibration.
+  auto joint_epsilon = [&](const std::vector<size_t>& attrs) {
+    size_t domain = 1;
+    for (size_t j : attrs) domain *= cardinality(j);
+    return RrMatrix::OptimalForEpsilon(domain,
+                                       ClusterEpsilonBudget(data, attrs, 0.7))
+        .Epsilon();
+  };
+  auto keep_uniform_epsilon = [&](double keep_probability) {
+    double epsilon = 0.0;
+    for (size_t j = 0; j < data.num_attributes(); ++j) {
+      epsilon += RrMatrix::KeepUniform(cardinality(j), keep_probability)
+                     .Epsilon();
+    }
+    return epsilon;
+  };
+
+  for (release::PolicyKind policy :
+       {release::PolicyKind::kSequential, release::PolicyKind::kSharded}) {
+    for (release::MechanismKind kind :
+         {release::MechanismKind::kIndependent,
+          release::MechanismKind::kGeometricOrdinal}) {
+      release::ReleaseSpec spec = BaseSpec(kind, policy);
+      spec.budget.keep_probability = 0.6;
+      spec.mechanism.geometric_epsilon = 1.5;
+      RrIndependentOptions design{0.6};
+      if (kind == release::MechanismKind::kGeometricOrdinal) {
+        design.design = IndependentDesign::kGeometricOrdinal;
+        design.geometric_epsilon = 1.5;
+      }
+      double expected = 0.0;
+      for (size_t j = 0; j < data.num_attributes(); ++j) {
+        expected += MakeIndependentMatrix(cardinality(j), design).Epsilon();
+      }
+      release::ReleaseArtifacts artifacts = MustRun(spec, data);
+      EXPECT_EQ(artifacts.release_epsilon, expected)
+          << release::ToString(kind);
+      EXPECT_EQ(artifacts.dependence_epsilon, 0.0);
+    }
+
+    release::ReleaseSpec joint =
+        BaseSpec(release::MechanismKind::kJoint, policy);
+    joint.budget.keep_probability = 0.7;
+    joint.mechanism.joint_attributes = {kAdultEducation, kAdultSex};
+    release::ReleaseArtifacts joint_artifacts = MustRun(joint, data);
+    EXPECT_EQ(joint_artifacts.release_epsilon,
+              joint_epsilon(joint.mechanism.joint_attributes));
+    EXPECT_EQ(joint_artifacts.dependence_epsilon, 0.0);
+
+    release::ReleaseSpec clusters =
+        BaseSpec(release::MechanismKind::kClusters, policy);
+    clusters.budget.keep_probability = 0.7;
+    clusters.budget.dependence_keep_probability = 0.8;
+    clusters.mechanism.dependence_source =
+        DependenceSource::kRandomizedResponse;
+    release::ReleaseArtifacts clusters_artifacts = MustRun(clusters, data);
+    double expected = 0.0;
+    for (const std::vector<size_t>& cluster : clusters_artifacts.clustering) {
+      expected += joint_epsilon(cluster);
+    }
+    EXPECT_EQ(clusters_artifacts.release_epsilon, expected);
+    EXPECT_EQ(clusters_artifacts.dependence_epsilon,
+              keep_uniform_epsilon(0.8));
+
+    release::ReleaseSpec pram =
+        BaseSpec(release::MechanismKind::kPram, policy);
+    pram.budget.keep_probability = 0.8;
+    EXPECT_EQ(MustRun(pram, data).release_epsilon, keep_uniform_epsilon(0.8));
+  }
 }
 
 TEST(ReleaseApi, MakeJointEstimateAnswersQueries) {

@@ -331,6 +331,26 @@ TEST(StreamingReleaseTest, DeclaredWindowEpsilonMustCoverTheDesign) {
   EXPECT_DOUBLE_EQ(over.value()->window_epsilon(), derived * 2);
 }
 
+TEST(StreamingReleaseTest, OversizedCollectorIsRejectedNotAllocated) {
+  const release::ReleaseSpec spec = StreamingSpec(400);
+  // A peer's StreamOpen names the cardinalities: 2^32 categories fit a
+  // u32 code but not the allocation bound, and 2^60 fits neither.
+  for (size_t huge : {size_t{1} << 32, size_t{1} << 60}) {
+    auto created = release::StreamingCollector::Create(
+        spec, {2, huge}, release::StreamingCollectorOptions{});
+    ASSERT_FALSE(created.ok()) << huge;
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  }
+  // mdrr_collectd --ring_buckets / --shards.
+  release::StreamingCollectorOptions ring;
+  ring.ring_buckets = 4000000000;
+  EXPECT_FALSE(release::StreamingCollector::Create(spec, {2, 2}, ring).ok());
+  release::StreamingCollectorOptions shards;
+  shards.num_shards = 3000000000;
+  EXPECT_FALSE(
+      release::StreamingCollector::Create(spec, {2, 2}, shards).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Zero-LU structured fast path.
 // ---------------------------------------------------------------------------
