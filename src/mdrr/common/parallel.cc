@@ -47,12 +47,15 @@ void ParallelChunks(size_t n, size_t chunk_size, size_t num_threads,
   for (std::thread& t : pool) t.join();
 }
 
-void ChunkedDoubleAccumulator::ReduceInto(double* out) const {
-  for (size_t v = 0; v < width_; ++v) out[v] = 0.0;
+void ChunkedDoubleAccumulator::ReduceInto(double* out, size_t begin,
+                                          size_t end) const {
+  MDRR_CHECK_LE(begin, end);
+  MDRR_CHECK_LE(end, width_);
+  for (size_t v = begin; v < end; ++v) out[v] = 0.0;
   const size_t num_chunks = stride_ == 0 ? 0 : slots_.size() / stride_;
   for (size_t c = 0; c < num_chunks; ++c) {
     const double* row = slots_.data() + c * stride_;
-    for (size_t v = 0; v < width_; ++v) out[v] += row[v];
+    for (size_t v = begin; v < end; ++v) out[v] += row[v];
   }
 }
 

@@ -42,7 +42,8 @@ size_t ResolveWorkerCount(size_t num_threads, size_t n, size_t chunk_size);
 // thread count. A ChunkedDoubleAccumulator instead gives every chunk its
 // own slot row and merges rows in ascending chunk order, which depends
 // only on (n, chunk_size) -- so reductions are bit-identical for any
-// worker count.
+// worker count. A chunk may own several consecutive rows (Algorithm 2's
+// interleaved lane rows, core/adjustment.cc); they merge in row order.
 class ChunkedDoubleAccumulator {
  public:
   // `width` slots per chunk, all zero-initialized. Rows are padded to a
@@ -63,21 +64,12 @@ class ChunkedDoubleAccumulator {
     return slots_.data() + chunk_index * stride_;
   }
 
-  // Re-zeroes every slot (buffer reuse across passes).
-  void Reset() { slots_.assign(slots_.size(), 0.0); }
-
-  // Column-wise totals merged in ascending chunk order, written into
-  // `out[0, width())`.
-  void ReduceInto(double* out) const;
+  // Column-wise totals of slots [begin, end) merged in ascending chunk
+  // order, written into `out[begin, end)`; other slots are not read.
+  void ReduceInto(double* out, size_t begin, size_t end) const;
+  void ReduceInto(double* out) const { ReduceInto(out, 0, width_); }
 
   size_t width() const { return width_; }
-
-  // Chunk rows this accumulator holds (the num_chunks it was built
-  // with). Wire codecs (net/wire.h) ship partial rows chunk-by-chunk
-  // and need the row count to bound what a peer may claim.
-  size_t num_chunks() const {
-    return stride_ == 0 ? 0 : slots_.size() / stride_;
-  }
 
  private:
   static constexpr size_t kDoublesPerCacheLine = 8;

@@ -30,12 +30,15 @@ struct AdjustmentOptions {
   double tolerance = 1e-9;
   // Worker threads for the per-iteration record sweeps; 0 means one per
   // hardware core. Never changes results: partial marginal sums are
-  // merged in chunk order, which depends only on (num_records,
-  // chunk_size).
+  // merged in a fixed lane x chunk order, which depends only on
+  // (num_records, chunk_size).
   size_t num_threads = 1;
-  // Records per reduction chunk. Part of the numeric contract (it fixes
-  // the floating-point summation tree), like shard_size in
-  // BatchPerturbationOptions. 0 is clamped to 1.
+  // Records per reduction chunk. Part of the numeric contract, like
+  // shard_size in BatchPerturbationOptions: it fixes the floating-point
+  // summation tree, in which each chunk keeps interleaved partial rows
+  // merged lane by lane, then in chunk order -- 4 lanes (the record at
+  // chunk offset k adds into row k % 4) when every group has at most 256
+  // cells, else 1. 0 is clamped to 1.
   size_t chunk_size = 1 << 16;
 };
 

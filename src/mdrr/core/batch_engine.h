@@ -15,7 +15,9 @@
 // come from different streams.
 //
 // Stream layout for seed s (mt19937 policy): stream 0 is reserved for
-// serial randomness (the dependence-assessment round of RunClusters);
+// serial randomness -- only the one word that seeds RunClusters' sharded
+// dependence-assessment round, whose Section 4.1 publication draws
+// per-chunk sub-streams of that word (dependence_estimators.h);
 // perturbed column c (attribute for Independent, cluster for Clusters,
 // the composite column for Joint) uses streams
 // [1 + c * num_shards, 1 + (c + 1) * num_shards).
@@ -75,10 +77,11 @@ struct BatchPerturbationOptions {
   // counter-based element-addressed draws of counter_rng.h, whose output
   // is invariant under thread count AND shard grain. The two policies
   // produce different (each individually deterministic) transcripts.
-  // Serial randomness (RunClusters' dependence-assessment round on
-  // stream 0) and synthetic release stay on the mt19937 family under
-  // either policy: both are already grain/thread-invariant, and synthesis
-  // consumes shuffle draws the counter layout does not model.
+  // Serial randomness (the stream-0 word seeding RunClusters'
+  // dependence-assessment round) and synthetic release stay on the
+  // mt19937 family under either policy: both are already
+  // grain/thread-invariant, and synthesis consumes shuffle draws the
+  // counter layout does not model.
   RngKind rng = RngKind::kMt19937;
   // When set, replaces the in-process sharded kernel for every column
   // perturbation (see ColumnShardPerturber above). Serial randomness,
@@ -121,10 +124,11 @@ class BatchPerturbationEngine {
   // rather than raw columns -- see DependenceMatrixSharded). The
   // dependence-assessment round is seeded from stream 0 (one engine word
   // per source) and runs through AssessDependencesSharded with the
-  // engine's RNG policy: every estimator shards its pair grid on
-  // stream-per-pair draws, and under kPhilox record ranges shard too --
-  // bit-identical at any thread count and shard grain either way. The
-  // per-cluster joint randomization is sharded as before.
+  // engine's RNG policy and shard_size: every estimator shards its pair
+  // grid on stream-per-pair draws, the Section 4.1 publication shards its
+  // record chunks, and under kPhilox record ranges shard everywhere --
+  // bit-identical at any thread count either way. The per-cluster joint
+  // randomization is sharded as before.
   StatusOr<RrClustersResult> RunClusters(
       const Dataset& dataset, const RrClustersOptions& options) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
@@ -48,49 +49,52 @@ uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
              : a + b;
 }
 
-// The shared round-1 publication of the Section 4.1 assessment: every
-// attribute randomized through KeepUniform(|A|, p) on one sequential
-// stream -- the historical mt19937 transcript, byte-identical since the
-// estimator landed. Returns the randomized data and accumulates epsilon.
+// The sequential round-1 publication of the Section 4.1 assessment:
+// every attribute randomized through KeepUniform(|A|, p) on one
+// sequential stream -- the historical mt19937 transcript, byte-identical
+// since the estimator landed. Returns the randomized data and
+// accumulates epsilon.
 Dataset PublishRandomizedRound(const Dataset& dataset,
                                double keep_probability, Rng& rng,
                                double* epsilon) {
-  Dataset randomized = dataset;
+  std::vector<std::vector<uint32_t>> columns;
+  columns.reserve(dataset.num_attributes());
   for (size_t j = 0; j < dataset.num_attributes(); ++j) {
-    size_t r = dataset.attribute(j).cardinality();
-    RrMatrix matrix = RrMatrix::KeepUniform(r, keep_probability);
-    // In-place rewrite of the copied column: randomized codes are < r by
-    // construction, and no per-attribute column is allocated.
-    matrix.RandomizeColumnInto(dataset.column(j), rng,
-                               randomized.MutableColumn(j));
+    RrMatrix matrix = RrMatrix::KeepUniform(dataset.attribute(j).cardinality(),
+                                            keep_probability);
+    columns.push_back(matrix.RandomizeColumn(dataset.column(j), rng));
     *epsilon += matrix.Epsilon();
   }
-  return randomized;
+  return Dataset(dataset.schema(), std::move(columns));
 }
 
-// Counter-policy round-1 publication: attribute j's column is drawn from
-// counter stream 1 + j with element = record index, so the publication
-// shards over record ranges and the transcript is a pure function of
-// (dataset, keep_probability, seed) -- invariant to thread count and
-// chunk grain by construction.
-Dataset PublishRandomizedRoundCounter(const Dataset& dataset,
+// The sharded round-1 publication: attribute j goes through the engine's
+// perturb+count fan at perturbed-column address j of the batch engine's
+// layout (batch_engine.h). Under kMt19937 chunk s of attribute j draws
+// stream 1 + j * num_chunks + s of `seed`, so the record chunk grain is
+// part of the transcript; under kPhilox record i draws element i of
+// counter stream 1 + j, so the grain drops out too. Either way the
+// transcript never depends on the thread count.
+Dataset PublishRandomizedRoundSharded(const Dataset& dataset,
                                       double keep_probability, uint64_t seed,
-                                      const DependenceShardingOptions& sharding,
+                                      const DependenceEstimatorOptions& options,
                                       double* epsilon) {
-  Dataset randomized = dataset;
+  const size_t grain = std::max<size_t>(1, options.sharding.record_chunk_size);
+  const uint64_t num_chunks = NumChunks(dataset.num_rows(), grain);
+  std::vector<std::vector<uint32_t>> columns;
+  columns.reserve(dataset.num_attributes());
   for (size_t j = 0; j < dataset.num_attributes(); ++j) {
     const DirectEncodingOracle oracle(RrMatrix::KeepUniform(
         dataset.attribute(j).cardinality(), keep_probability));
-    randomized.MutableColumn(j) =
-        AccumulateColumnSharded(
-            oracle, dataset.column(j),
-            ColumnAddress{RngKind::kPhilox, seed, 0, 1 + uint64_t{j}},
-            std::max<size_t>(1, sharding.record_chunk_size),
-            sharding.num_threads)
-            .codes;
+    const ColumnAddress address{options.rng, seed, 1 + j * num_chunks,
+                                1 + uint64_t{j}};
+    columns.push_back(AccumulateColumnSharded(oracle, dataset.column(j),
+                                              address, grain,
+                                              options.sharding.num_threads)
+                          .codes);
     *epsilon += oracle.epsilon();
   }
-  return randomized;
+  return Dataset(dataset.schema(), std::move(columns));
 }
 
 }  // namespace
@@ -115,13 +119,8 @@ DependenceEstimate RandomizedResponseDependencesSharded(
     const DependenceEstimatorOptions& options) {
   DependenceEstimate result;
   result.epsilon = 0.0;
-  Rng rng(seed);  // Consumed on the mt19937 path only.
-  Dataset randomized =
-      options.rng == RngKind::kPhilox
-          ? PublishRandomizedRoundCounter(dataset, keep_probability, seed,
-                                          options.sharding, &result.epsilon)
-          : PublishRandomizedRound(dataset, keep_probability, rng,
-                                   &result.epsilon);
+  const Dataset randomized = PublishRandomizedRoundSharded(
+      dataset, keep_probability, seed, options, &result.epsilon);
   result.dependences = DependenceMatrixSharded(
       randomized, DependenceMeasure::kPaperAuto, options.sharding);
   result.messages = static_cast<uint64_t>(dataset.num_rows());

@@ -36,15 +36,19 @@ struct DependenceEstimate {
 //     1 + p -- masking draws on RngStreamFamily(seed) / counter stream
 //     1 + p of `seed`, secure-sum share draws on the same stream index
 //     of the oracle's salted seed;
-//   * the Section 4.1 round-1 publication gives attribute j stream 1 + j
-//     (stream 0 stays reserved, mirroring the batch engine's layout).
-// Under kMt19937 a stream is sequential (drawn start to finish by one
-// worker), so only the pair/attribute grid shards and the transcript is
-// thread-count invariant. Under kPhilox the element is the record index
-// (RandomizeRangeCounterInto) or the protocol word offset
-// (SecureSumSession::WordsPerLiteralRun), so record ranges shard too and
-// the transcript is invariant to thread count AND chunk grain by
-// construction.
+//   * the Section 4.1 round-1 publication gives attribute j the address
+//     of perturbed column j in the batch engine's layout: mt19937 streams
+//     [1 + j * num_chunks, 1 + (j + 1) * num_chunks), one per
+//     record_chunk_size chunk, or counter stream 1 + j (stream 0 stays
+//     reserved, as in batch_engine.h).
+// Under kMt19937 a pair stream is sequential (drawn start to finish by
+// one worker), so the pair grid shards and the transcript is thread-count
+// invariant; the Section 4.1 publication shards its record chunks, so
+// record_chunk_size is part of its randomness contract. Under kPhilox the
+// element is the record index (RandomizeRangeCounterInto) or the
+// protocol word offset (SecureSumSession::WordsPerLiteralRun), so record
+// ranges shard too and the transcript is invariant to thread count AND
+// chunk grain by construction.
 struct DependenceEstimatorOptions {
   RngKind rng = RngKind::kMt19937;
   DependenceShardingOptions sharding;
@@ -69,14 +73,16 @@ DependenceEstimate RandomizedResponseDependences(const Dataset& dataset,
                                                  double keep_probability,
                                                  uint64_t seed);
 
-// Sharded Section 4.1 assessment. Under kMt19937 the publication replays
-// the sequential single-stream transcript of
-// RandomizedResponseDependences (it is one privacy-budgeted publication
-// whose draws must not depend on the worker count) and only the pairwise
-// statistics shard. Under kPhilox attribute j's column is drawn from
-// counter stream 1 + j with element = record index, so the publication
-// itself shards over record ranges and stays bit-identical at every
-// thread count and shard grain by construction.
+// Sharded Section 4.1 assessment: the publication runs through the
+// perturb+count fan AccumulateColumnSharded under both RNG policies, and
+// the pairwise statistics shard through DependenceMatrixSharded. Under
+// kMt19937 chunk s of attribute j draws its own sub-stream
+// 1 + j * num_chunks + s, so the publication is bit-identical at every
+// thread count but record_chunk_size is part of its randomness contract
+// (like the engine's shard_size); it does not replay the single-stream
+// transcript of RandomizedResponseDependences. Under kPhilox attribute
+// j's column is drawn from counter stream 1 + j with element = record
+// index, so it is bit-identical at every thread count and chunk grain.
 DependenceEstimate RandomizedResponseDependencesSharded(
     const Dataset& dataset, double keep_probability, uint64_t seed,
     const DependenceEstimatorOptions& options);

@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,6 +145,155 @@ TEST(AdjustmentTest, InputValidation) {
   out_of_range[0].codes = {0, 5, 0};
   out_of_range[0].target = {0.5, 0.5};
   EXPECT_FALSE(RunRrAdjustment(out_of_range, 3).ok());
+}
+
+// A group of `width` cells over n records: skewed codes (the low cells
+// are the common ones, as in real cluster domains) and a strictly
+// positive random target.
+AdjustmentGroup MakeGroup(size_t width, size_t n, Rng& rng) {
+  AdjustmentGroup group;
+  group.codes.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t bound = rng.Bernoulli(0.7) ? std::min<size_t>(width, 6)
+                                              : width;
+    group.codes.push_back(static_cast<uint32_t>(rng.UniformInt(bound)));
+  }
+  group.target.resize(width);
+  double total = 0.0;
+  for (double& t : group.target) {
+    t = 0.1 + rng.UniformDouble();
+    total += t;
+  }
+  for (double& t : group.target) t /= total;
+  return group;
+}
+
+// Plain sequential Algorithm 2: per group, scan the implied marginal,
+// rescale every weight onto the target, renormalize; once more at the
+// end. No chunks, lanes or folded renormalization.
+std::vector<double> ReferenceAdjustment(
+    const std::vector<AdjustmentGroup>& groups, size_t n, int iterations) {
+  std::vector<double> weights(n, 1.0 / static_cast<double>(n));
+  auto normalize = [&] {
+    double total = 0.0;
+    for (double w : weights) total += w;
+    for (double& w : weights) w /= total;
+  };
+  for (int iter = 0; iter < iterations; ++iter) {
+    for (const AdjustmentGroup& group : groups) {
+      std::vector<double> implied(group.target.size(), 0.0);
+      for (size_t i = 0; i < n; ++i) implied[group.codes[i]] += weights[i];
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t v = group.codes[i];
+        weights[i] *= group.target[v] / implied[v];
+      }
+      normalize();
+    }
+  }
+  normalize();
+  return weights;
+}
+
+void ExpectNearReference(const std::vector<double>& weights,
+                         const std::vector<double>& reference) {
+  ASSERT_EQ(weights.size(), reference.size());
+  for (size_t i = 0; i < weights.size(); ++i) {
+    ASSERT_NEAR(weights[i], reference[i], 1e-12 * reference[i])
+        << "record " << i;
+  }
+}
+
+// A fixed iteration count (tolerance 0 never converges), so the library
+// and the reference run the same number of sweeps.
+AdjustmentOptions FixedIterations(int iterations, size_t chunk_size,
+                                  size_t threads) {
+  AdjustmentOptions options;
+  options.max_iterations = iterations;
+  options.tolerance = 0.0;
+  options.chunk_size = chunk_size;
+  options.num_threads = threads;
+  return options;
+}
+
+TEST(AdjustmentTest, BitIdenticalAcrossThreadsAtEveryCodeWidth) {
+  // The widest group picks the code width of the record sweeps: 5 cells
+  // (u8, 4 lanes), 300 (u16, 1 lane), 70000 (u32, 1 lane). n = 20003
+  // leaves a 3-record lane tail in the last chunk, and 4099-record chunks
+  // start every chunk but the first at a record index that is not a
+  // multiple of 4.
+  const size_t n = 20003;
+  const size_t chunk_size = 4099;
+  for (size_t widest : {5, 300, 70000}) {
+    Rng rng(31 + widest);
+    std::vector<AdjustmentGroup> groups;
+    groups.push_back(MakeGroup(3, n, rng));
+    groups.push_back(MakeGroup(widest, n, rng));
+    groups.push_back(MakeGroup(5, n, rng));
+    const std::vector<double> reference = ReferenceAdjustment(groups, n, 6);
+    auto baseline =
+        RunRrAdjustment(groups, n, FixedIterations(6, chunk_size, 1));
+    ASSERT_TRUE(baseline.ok()) << "widest=" << widest;
+    EXPECT_EQ(baseline.value().iterations, 6);
+    ExpectNearReference(baseline.value().weights, reference);
+    for (size_t threads : {2, 3, 4, 8}) {
+      auto run =
+          RunRrAdjustment(groups, n, FixedIterations(6, chunk_size, threads));
+      ASSERT_TRUE(run.ok()) << "widest=" << widest;
+      EXPECT_EQ(baseline.value().weights, run.value().weights)
+          << "widest=" << widest << " threads=" << threads;
+      EXPECT_EQ(baseline.value().max_marginal_gap,
+                run.value().max_marginal_gap);
+    }
+  }
+}
+
+TEST(AdjustmentTest, LaneTailsMatchSequentialReference) {
+  // Record counts off a multiple of 4 and chunks shorter than the 4
+  // lanes: every record must still be swept exactly once per pass.
+  for (size_t n : {1, 2, 3, 5, 6, 7, 1001, 1002, 1003}) {
+    Rng rng(43 + n);
+    std::vector<AdjustmentGroup> groups;
+    for (size_t width : {4, 7}) {
+      // Cyclic codes over min(width, n) cells, so every cell has a record
+      // and the reference never divides by a zero implied mass.
+      AdjustmentGroup group = MakeGroup(std::min(width, n), n, rng);
+      for (size_t i = 0; i < n; ++i) {
+        group.codes[i] = static_cast<uint32_t>(i % group.target.size());
+      }
+      groups.push_back(std::move(group));
+    }
+    const std::vector<double> reference = ReferenceAdjustment(groups, n, 5);
+    for (size_t chunk_size : {1, 2, 3, 5, 64}) {
+      std::vector<double> first;
+      for (size_t threads : {1, 3}) {
+        auto run =
+            RunRrAdjustment(groups, n, FixedIterations(5, chunk_size, threads));
+        ASSERT_TRUE(run.ok()) << "n=" << n << " chunk=" << chunk_size;
+        ExpectNearReference(run.value().weights, reference);
+        if (first.empty()) {
+          first = run.value().weights;
+        } else {
+          EXPECT_EQ(first, run.value().weights)
+              << "n=" << n << " chunk=" << chunk_size;
+        }
+      }
+    }
+  }
+}
+
+TEST(AdjustmentTest, OutOfRangeCodeFailsAtEveryCodeWidth) {
+  // Each code would wrap to a valid cell if narrowed before the range
+  // check: 256 in a u8 sweep, 65536 in a u16 sweep.
+  for (auto [width, code] : {std::pair<size_t, uint32_t>{5, 256},
+                             std::pair<size_t, uint32_t>{300, 65536},
+                             std::pair<size_t, uint32_t>{70000, 70000}}) {
+    std::vector<AdjustmentGroup> groups(1);
+    groups[0].codes = {0, code, 1};
+    groups[0].target.assign(width, 1.0 / static_cast<double>(width));
+    auto result = RunRrAdjustment(groups, 3);
+    ASSERT_FALSE(result.ok()) << "width=" << width;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AdjustmentTest, GroupsFromIndependentShapes) {

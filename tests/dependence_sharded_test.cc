@@ -1,8 +1,10 @@
 // The sharded dependence-estimator contract: the Section 4.2/4.3
 // estimators and the Section 4.1 publication are keyed by (stream,
-// element), so their output is bit-identical at every thread count and
-// shard grain under both RNG policies; the redesigned pair-order
-// transcripts are pinned by content hash; and the SIMD-lane alias
+// element), so their output is bit-identical at every thread count under
+// both RNG policies, and at every shard grain too except for the
+// mt19937 Section 4.1 publication, whose per-chunk sub-streams make the
+// grain part of its transcript; the redesigned pair-order transcripts
+// are pinned by content hash; and the SIMD-lane alias
 // lookup is bitwise identical to the scalar draw plan at every
 // alignment and tail length.
 
@@ -256,24 +258,24 @@ TEST(RandomizedResponseShardedTest, PhiloxInvariantAcrossThreadsAndGrains) {
   }
 }
 
-TEST(RandomizedResponseShardedTest, MtReplaysSequentialTranscript) {
-  // The mt19937 publication is one privacy-budgeted interaction whose
-  // draws must not depend on the worker count: the sharded form replays
-  // RandomizedResponseDependences' single-stream transcript, and on
-  // all-nominal data the sharded statistics are bitwise equal too.
+TEST(RandomizedResponseShardedTest, MtInvariantAcrossThreads) {
+  // Under mt19937 record chunk s of attribute j draws its own sub-stream,
+  // so at a fixed grain the publication -- and, on all-nominal data, the
+  // sharded statistics -- are bitwise the same at every thread count.
+  // The default estimator options are the same mt19937 path.
   Dataset ds = MakeLadderDataset(1500, 61);
-  DependenceEstimate sequential = RandomizedResponseDependences(ds, 0.7, 67);
-  for (size_t threads : {1u, 4u}) {
+  DependenceEstimate baseline = RandomizedResponseDependencesSharded(
+      ds, 0.7, 67, MakeOptions(RngKind::kMt19937, 1, 256));
+  for (size_t threads : kThreadSweep) {
     DependenceEstimate sharded = RandomizedResponseDependencesSharded(
         ds, 0.7, 67, MakeOptions(RngKind::kMt19937, threads, 256));
-    ExpectSameEstimate(sequential, sharded);
-    // Default estimator options are the same mt19937 path.
+    ExpectSameEstimate(baseline, sharded);
     DependenceEstimatorOptions defaults;
     defaults.sharding.num_threads = threads;
     defaults.sharding.record_chunk_size = 256;
     DependenceEstimate compat =
         RandomizedResponseDependencesSharded(ds, 0.7, 67, defaults);
-    ExpectSameEstimate(sequential, compat);
+    ExpectSameEstimate(baseline, compat);
   }
 }
 
@@ -281,7 +283,7 @@ TEST(RandomizedResponseShardedTest, MtReplaysSequentialTranscript) {
 // Redesigned pair-order transcripts: content-hash pins.
 // ---------------------------------------------------------------------------
 
-// The estimators draw on stream 1 + p per pair (1 + j per attribute for
+// The estimators draw on stream 1 + p per pair (per-attribute streams for
 // the Section 4.1 publication) instead of one consumed-in-order stream.
 // These hashes pin the redesigned draw plans; a change in stream
 // addressing, draw order, or the reduction arithmetic shows up here.
@@ -319,6 +321,23 @@ TEST(DependenceTranscriptGoldens, RandomizedResponsePhiloxTranscript) {
   DependenceEstimate run = RandomizedResponseDependencesSharded(
       ds, 0.7, 89, MakeOptions(RngKind::kPhilox, 4, 64));
   EXPECT_EQ(HashMatrix(run.dependences), 0x166b3e0b034159e1ull);
+}
+
+TEST(DependenceTranscriptGoldens, RandomizedResponseMtTranscript) {
+  // Per-chunk sub-streams of the batch engine's layout: the 64-record
+  // grain is part of this transcript, the thread count is not.
+  Dataset ds = MakeLadderDataset(400, 71);
+  DependenceEstimate run = RandomizedResponseDependencesSharded(
+      ds, 0.7, 89, MakeOptions(RngKind::kMt19937, 4, 64));
+  EXPECT_EQ(HashMatrix(run.dependences), 0xb73cc67acb66facdull);
+}
+
+TEST(DependenceTranscriptGoldens, RandomizedResponseSequentialTranscript) {
+  // The sequential policy's single-stream publication, byte-identical
+  // since the estimator landed.
+  Dataset ds = MakeLadderDataset(400, 71);
+  DependenceEstimate run = RandomizedResponseDependences(ds, 0.7, 89);
+  EXPECT_EQ(HashMatrix(run.dependences), 0xadd133a770a50325ull);
 }
 
 // ---------------------------------------------------------------------------
