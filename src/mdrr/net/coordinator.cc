@@ -70,12 +70,22 @@ StatusOr<PerturbedColumn> Coordinator::PerturbColumn(
   for (size_t s = 0; s < num_shards; ++s) {
     const size_t begin = s * options_.shard_size;
     const size_t end = std::min(n, begin + options_.shard_size);
-    ShardAssignment shard;
-    shard.shard_index = s;
-    shard.global_begin = begin;
-    shard.codes.assign(codes.begin() + static_cast<ptrdiff_t>(begin),
-                       codes.begin() + static_cast<ptrdiff_t>(end));
-    assignments[s % num_workers].shards.push_back(std::move(shard));
+    assignments[s % num_workers].shards.push_back({s, begin, end - begin});
+  }
+
+  // Encode every assignment straight from the caller's column before
+  // sending any: the codes are range-checked while they are narrowed, so
+  // a code outside the matrix fails here, with nothing on the wire and
+  // the session still usable.
+  std::vector<std::vector<uint8_t>> payloads(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
+    if (assignments[w].shards.empty()) continue;
+    auto payload = EncodeAssignShards(assignments[w], codes.data());
+    if (!payload.ok()) {
+      return Status::InvalidArgument("input column: " +
+                                     payload.status().message());
+    }
+    payloads[w] = std::move(payload).value();
   }
 
   // Send every assignment before reading any reply: workers always read
@@ -83,23 +93,23 @@ StatusOr<PerturbedColumn> Coordinator::PerturbColumn(
   // deadlock on full socket buffers.
   for (size_t w = 0; w < num_workers; ++w) {
     if (assignments[w].shards.empty()) continue;
-    Status s = workers_[w].SendFrame(FrameType::kAssignShards,
-                                     EncodeAssignShards(assignments[w]),
+    Status s = workers_[w].SendFrame(FrameType::kAssignShards, payloads[w],
                                      options_.deadline_ms);
     if (!s.ok()) {
       return Poison(Status(s.code(), "assigning shards to worker " +
                                          std::to_string(w) + ": " +
                                          s.message()));
     }
+    payloads[w] = {};
   }
 
+  // Each reply decodes straight into its slices of the result column.
   PerturbedColumn result;
-  result.codes.assign(n, 0);
+  result.codes.resize(n);
   stats::FrequencyTable total(std::vector<int64_t>(matrix.size(), 0));
 
   for (size_t w = 0; w < num_workers; ++w) {
-    const AssignShardsMsg& sent = assignments[w];
-    if (sent.shards.empty()) continue;
+    if (assignments[w].shards.empty()) continue;
     auto frame = workers_[w].RecvFrame(options_.deadline_ms);
     if (!frame.ok()) {
       return Poison(Status(frame.status().code(),
@@ -116,37 +126,14 @@ StatusOr<PerturbedColumn> Coordinator::PerturbColumn(
       return Poison(Status::InvalidArgument(
           "worker " + std::to_string(w) + " sent an unexpected frame"));
     }
-    auto partial = ParsePartialResult(frame->payload);
-    if (!partial.ok()) return Poison(partial.status());
-    if (partial->task_id != task_id) {
-      return Poison(Status::InvalidArgument(
-          "worker " + std::to_string(w) + " answered the wrong task"));
+    auto counts = ParsePartialResult(frame->payload, assignments[w],
+                                     result.codes.data());
+    if (!counts.ok()) {
+      return Poison(Status(counts.status().code(),
+                           "worker " + std::to_string(w) + ": " +
+                               counts.status().message()));
     }
-    if (partial->shards.size() != sent.shards.size() ||
-        partial->counts.size() != matrix.size()) {
-      return Poison(Status::InvalidArgument(
-          "worker " + std::to_string(w) + " returned a malformed partial"));
-    }
-    for (size_t i = 0; i < partial->shards.size(); ++i) {
-      const ShardResult& got = partial->shards[i];
-      const ShardAssignment& want = sent.shards[i];
-      if (got.shard_index != want.shard_index ||
-          got.codes.size() != want.codes.size()) {
-        return Poison(Status::InvalidArgument(
-            "worker " + std::to_string(w) + " returned mismatched shards"));
-      }
-      for (uint32_t code : got.codes) {
-        if (code >= matrix.size()) {
-          return Poison(Status::InvalidArgument(
-              "worker " + std::to_string(w) +
-              " returned codes outside the matrix range"));
-        }
-      }
-      std::copy(got.codes.begin(), got.codes.end(),
-                result.codes.begin() +
-                    static_cast<ptrdiff_t>(want.global_begin));
-    }
-    total.Absorb(stats::FrequencyTable(partial->counts));
+    total.Absorb(stats::FrequencyTable(std::move(counts).value()));
   }
 
   result.lambda = total.Proportions();

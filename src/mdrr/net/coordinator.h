@@ -5,11 +5,15 @@
 // PerturbColumn cuts the column into the SAME shard grid the threaded
 // BatchPerturbationEngine would use (NumChunks of the configured
 // shard_size), deals shard s to worker s mod W, sends every assignment,
-// then collects one PartialResult per participating worker. Slices land
-// at their global offsets and counts merge through FrequencyTable::Absorb
-// (integer sums commute), so for a fixed (seed, shard_size, rng) the
-// assembled column is bit-identical to the in-process sharded engine for
-// ANY worker count -- the contract distributed_release_test.cc and the
+// then collects one PartialResult per participating worker. Each code
+// crosses the wire once each way at the narrowest width that holds the
+// matrix's categories (wire.h): assignments are encoded straight from
+// the caller's column, and replies decode straight into the result at
+// their global offsets, range-checked in the same pass. Counts merge
+// through FrequencyTable::Absorb (integer sums commute), so for a fixed
+// (seed, shard_size, rng) the assembled column is bit-identical to the
+// in-process sharded engine for ANY worker count and any worker thread
+// count -- the contract distributed_release_test.cc and the
 // release-distributed bench stage assert.
 //
 // Failure is fail-closed: any send/recv error, malformed reply, deadline,
@@ -62,7 +66,9 @@ class Coordinator {
 
   // Perturbs one column across the workers. `stream_base` and
   // `counter_stream` carry the engine's randomness addressing for this
-  // column (see batch_engine.h stream layout).
+  // column (see batch_engine.h stream layout). A code >= matrix.size()
+  // fails InvalidArgument before any frame is sent; the session stays
+  // usable.
   StatusOr<PerturbedColumn> PerturbColumn(const RrMatrix& matrix,
                                           const std::vector<uint32_t>& codes,
                                           uint64_t stream_base,

@@ -11,10 +11,13 @@
 // protocol error, rejected before any allocation.
 //
 // WireWriter/WireReader are the primitive serializers every payload codec
-// builds on. The reader is fully bounds-checked and returns Status on
-// truncation -- frames can come from untrusted peers, so decoders must
-// never index past the buffer or trust embedded lengths (see
-// net_fuzz_test.cc).
+// builds on. Bulk codecs (the code columns of wire.h) write a whole
+// column through one exact-size Grow and read it back through one
+// borrowed span (Borrow), so a column costs one length check and one
+// pass on each side, not one call per byte. The reader is fully
+// bounds-checked and returns Status on truncation -- frames can come
+// from untrusted peers, so decoders must never index past the buffer or
+// trust embedded lengths (see net_fuzz_test.cc).
 
 #ifndef MDRR_NET_FRAME_H_
 #define MDRR_NET_FRAME_H_
@@ -35,7 +38,9 @@ namespace net {
 inline constexpr uint32_t kProtocolMagic = 0x4d445252;
 
 // Bumped on any incompatible wire change. Handshakes reject mismatches.
-inline constexpr uint32_t kProtocolVersion = 1;
+// v2: code columns travel width-tagged at 1, 2 or 4 bytes per code
+// (wire.h); v1 sent every code as a u32.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 // Hard upper bound on a frame payload (1 GiB). Large enough for any shard
 // assignment at realistic grains, small enough that a hostile length
@@ -96,6 +101,18 @@ class WireWriter {
   void Bytes(const void* data, size_t len) {
     const uint8_t* p = static_cast<const uint8_t*>(data);
     buffer_.insert(buffer_.end(), p, p + len);
+  }
+
+  // Makes room for `len` more bytes, so a payload whose size is known up
+  // front allocates once.
+  void Reserve(size_t len) { buffer_.reserve(buffer_.size() + len); }
+
+  // Appends `len` bytes for the caller to fill and returns them: one
+  // exact-size growth for a whole bulk-coded column.
+  uint8_t* Grow(size_t len) {
+    const size_t at = buffer_.size();
+    buffer_.resize(at + len);
+    return buffer_.data() + at;
   }
 
   // u32 length prefix + raw bytes.
@@ -172,6 +189,15 @@ class WireReader {
     std::string s(reinterpret_cast<const char*>(data_ + pos_), len.value());
     pos_ += len.value();
     return s;
+  }
+
+  // Borrows the next `n` bytes in place (no copy) and steps past them;
+  // the span lives as long as the reader's buffer.
+  StatusOr<const uint8_t*> Borrow(size_t n) {
+    if (remaining() < n) return Truncated("span");
+    const uint8_t* span = data_ + pos_;
+    pos_ += n;
+    return span;
   }
 
   Status Skip(size_t n) {

@@ -19,6 +19,10 @@ Status CheckClaimed(uint64_t claimed, size_t element_bytes,
   return Status::OK();
 }
 
+// AssignShards' fixed header: task_id, rng_kind, seed, stream_base,
+// counter_stream.
+constexpr size_t kAssignHeaderBytes = 8 + 1 + 8 + 8 + 8;
+
 }  // namespace
 
 std::vector<uint8_t> EncodeHello(const HelloMsg& msg) {
@@ -108,8 +112,15 @@ StatusOr<PeerRole> ServerHandshake(TcpConnection& conn, int64_t deadline_ms) {
   return hello->role;
 }
 
-std::vector<uint8_t> EncodeAssignShards(const AssignShardsMsg& msg) {
+StatusOr<std::vector<uint8_t>> EncodeAssignShards(const AssignShardsMsg& msg,
+                                                  const uint32_t* column) {
+  const uint64_t bound = msg.matrix->size();
+  size_t bytes = kAssignHeaderBytes + EncodedMatrixBytes(*msg.matrix) + 8;
+  for (const ShardAssignment& shard : msg.shards) {
+    bytes += 16 + CodeColumnBytes(shard.length, bound);
+  }
   WireWriter w;
+  w.Reserve(bytes);
   w.U64(msg.task_id);
   w.U8(msg.rng_kind);
   w.U64(msg.seed);
@@ -120,7 +131,8 @@ std::vector<uint8_t> EncodeAssignShards(const AssignShardsMsg& msg) {
   for (const ShardAssignment& shard : msg.shards) {
     w.U64(shard.shard_index);
     w.U64(shard.global_begin);
-    EncodeCodes(shard.codes.data(), shard.codes.size(), w);
+    MDRR_RETURN_IF_ERROR(
+        EncodeCodes(column + shard.global_begin, shard.length, bound, w));
   }
   return w.Release();
 }
@@ -137,59 +149,95 @@ StatusOr<AssignShardsMsg> ParseAssignShards(
   MDRR_ASSIGN_OR_RETURN(RrMatrix matrix, DecodeMatrix(r));
   msg.matrix.emplace(std::move(matrix));
   MDRR_ASSIGN_OR_RETURN(uint64_t num_shards, r.U64());
-  // Each shard is at least shard_index + global_begin + a code length.
-  MDRR_RETURN_IF_ERROR(CheckClaimed(num_shards, 24, r, "shard"));
+  // Each shard is at least shard_index + global_begin + a column header.
+  MDRR_RETURN_IF_ERROR(CheckClaimed(num_shards, 25, r, "shard"));
   msg.shards.reserve(static_cast<size_t>(num_shards));
+  // Borrow every column first: the lengths are then known (and bounded
+  // by the payload), so the codes are allocated once and widened once.
+  std::vector<WireCodes> columns;
+  columns.reserve(static_cast<size_t>(num_shards));
+  size_t total = 0;
   for (uint64_t i = 0; i < num_shards; ++i) {
     ShardAssignment shard;
     MDRR_ASSIGN_OR_RETURN(shard.shard_index, r.U64());
     MDRR_ASSIGN_OR_RETURN(shard.global_begin, r.U64());
-    MDRR_ASSIGN_OR_RETURN(shard.codes, DecodeCodes(r));
-    for (uint32_t code : shard.codes) {
-      if (code >= msg.matrix->size()) {
-        return Status::InvalidArgument(
-            "shard code out of matrix range");
-      }
-    }
-    msg.shards.push_back(std::move(shard));
+    MDRR_ASSIGN_OR_RETURN(WireCodes codes, DecodeCodes(r));
+    shard.length = codes.length;
+    total += codes.length;
+    msg.shards.push_back(shard);
+    columns.push_back(codes);
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after AssignShards");
   }
+  msg.codes.resize(total);
+  uint32_t* out = msg.codes.data();
+  for (const WireCodes& codes : columns) {
+    MDRR_RETURN_IF_ERROR(codes.WidenInto(msg.matrix->size(), out));
+    out += codes.length;
+  }
   return msg;
 }
 
-std::vector<uint8_t> EncodePartialResult(const PartialResultMsg& msg) {
+StatusOr<std::vector<uint8_t>> EncodePartialResult(
+    const PartialResultMsg& msg) {
+  const uint64_t bound = msg.counts.size();
+  size_t bytes = 16 + 8 + 8 * msg.counts.size();
+  size_t total = 0;
+  for (const ShardAssignment& shard : msg.shards) {
+    bytes += 8 + CodeColumnBytes(shard.length, bound);
+    total += shard.length;
+  }
+  if (total != msg.codes.size()) {
+    return Status::InvalidArgument(
+        "PartialResult shard lengths do not cover its codes");
+  }
   WireWriter w;
+  w.Reserve(bytes);
   w.U64(msg.task_id);
   w.U64(msg.shards.size());
-  for (const ShardResult& shard : msg.shards) {
+  const uint32_t* codes = msg.codes.data();
+  for (const ShardAssignment& shard : msg.shards) {
     w.U64(shard.shard_index);
-    EncodeCodes(shard.codes.data(), shard.codes.size(), w);
+    MDRR_RETURN_IF_ERROR(EncodeCodes(codes, shard.length, bound, w));
+    codes += shard.length;
   }
   EncodeCounts(msg.counts, w);
   return w.Release();
 }
 
-StatusOr<PartialResultMsg> ParsePartialResult(
-    const std::vector<uint8_t>& payload) {
+StatusOr<std::vector<int64_t>> ParsePartialResult(
+    const std::vector<uint8_t>& payload, const AssignShardsMsg& sent,
+    uint32_t* column) {
   WireReader r(payload);
-  PartialResultMsg msg;
-  MDRR_ASSIGN_OR_RETURN(msg.task_id, r.U64());
-  MDRR_ASSIGN_OR_RETURN(uint64_t num_shards, r.U64());
-  MDRR_RETURN_IF_ERROR(CheckClaimed(num_shards, 16, r, "shard result"));
-  msg.shards.reserve(static_cast<size_t>(num_shards));
-  for (uint64_t i = 0; i < num_shards; ++i) {
-    ShardResult shard;
-    MDRR_ASSIGN_OR_RETURN(shard.shard_index, r.U64());
-    MDRR_ASSIGN_OR_RETURN(shard.codes, DecodeCodes(r));
-    msg.shards.push_back(std::move(shard));
+  MDRR_ASSIGN_OR_RETURN(uint64_t task_id, r.U64());
+  if (task_id != sent.task_id) {
+    return Status::InvalidArgument("PartialResult answers the wrong task");
   }
-  MDRR_ASSIGN_OR_RETURN(msg.counts, DecodeCounts(r));
+  MDRR_ASSIGN_OR_RETURN(uint64_t num_shards, r.U64());
+  if (num_shards != sent.shards.size()) {
+    return Status::InvalidArgument(
+        "PartialResult shard count differs from the assignment");
+  }
+  const uint64_t bound = sent.matrix->size();
+  for (const ShardAssignment& want : sent.shards) {
+    MDRR_ASSIGN_OR_RETURN(uint64_t shard_index, r.U64());
+    MDRR_ASSIGN_OR_RETURN(WireCodes codes, DecodeCodes(r));
+    if (shard_index != want.shard_index || codes.length != want.length) {
+      return Status::InvalidArgument(
+          "PartialResult shards do not match the assignment");
+    }
+    MDRR_RETURN_IF_ERROR(codes.WidenInto(bound, column + want.global_begin));
+  }
+  MDRR_ASSIGN_OR_RETURN(std::vector<int64_t> counts, DecodeCounts(r));
+  if (counts.size() != bound) {
+    return Status::InvalidArgument(
+        "PartialResult counts do not match the matrix size");
+  }
   // Perturbation counts are category tallies: a negative value can only
   // come from a broken or hostile worker, and downstream
   // FrequencyTable::Absorb must never see it (it would CHECK).
-  for (int64_t count : msg.counts) {
+  for (int64_t count : counts) {
     if (count < 0) {
       return Status::InvalidArgument("PartialResult count is negative");
     }
@@ -197,7 +245,7 @@ StatusOr<PartialResultMsg> ParsePartialResult(
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after PartialResult");
   }
-  return msg;
+  return counts;
 }
 
 std::vector<uint8_t> EncodeAbort(const AbortMsg& msg) {
@@ -240,12 +288,15 @@ StatusOr<StreamOpenMsg> ParseStreamOpen(const std::vector<uint8_t>& payload) {
   return msg;
 }
 
-std::vector<uint8_t> EncodeStreamReport(const StreamReportMsg& msg) {
+StatusOr<std::vector<uint8_t>> EncodeStreamReport(const StreamReportMsg& msg,
+                                                  uint64_t code_bound) {
   WireWriter w;
+  w.Reserve(16 + CodeColumnBytes(msg.codes.size(), code_bound));
   w.U64(msg.first_sequence);
   w.U32(msg.num_reports);
   w.U32(msg.num_attributes);
-  for (uint32_t code : msg.codes) w.U32(code);
+  MDRR_RETURN_IF_ERROR(
+      EncodeCodes(msg.codes.data(), msg.codes.size(), code_bound, w));
   return w.Release();
 }
 
@@ -259,16 +310,20 @@ StatusOr<StreamReportMsg> ParseStreamReport(
   if (msg.num_reports == 0 || msg.num_attributes == 0) {
     return Status::InvalidArgument("empty stream report batch");
   }
-  uint64_t total = static_cast<uint64_t>(msg.num_reports) *
-                   static_cast<uint64_t>(msg.num_attributes);
-  MDRR_RETURN_IF_ERROR(CheckClaimed(total, 4, r, "report code"));
-  msg.codes.resize(static_cast<size_t>(total));
-  for (size_t i = 0; i < msg.codes.size(); ++i) {
-    MDRR_ASSIGN_OR_RETURN(msg.codes[i], r.U32());
+  MDRR_ASSIGN_OR_RETURN(WireCodes codes, DecodeCodes(r));
+  if (codes.length != static_cast<uint64_t>(msg.num_reports) *
+                          static_cast<uint64_t>(msg.num_attributes)) {
+    return Status::InvalidArgument(
+        "stream report code count differs from reports x attributes");
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after StreamReport");
   }
+  // Any u32 is a well-formed code here; the server, which knows the
+  // schema, range-checks each attribute.
+  msg.codes.resize(codes.length);
+  MDRR_RETURN_IF_ERROR(
+      codes.WidenInto(uint64_t{1} << 32, msg.codes.data()));
   return msg;
 }
 

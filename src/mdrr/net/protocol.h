@@ -18,8 +18,11 @@
 // each shard: mt19937 shard s draws from Stream(stream_base + s); philox
 // elements are addressed by (counter_stream, global index). The
 // coordinator merges worker counts with FrequencyTable::Absorb (integer
-// sums commute) and writes code slices at their global offsets, so the
-// assembled transcript is bit-identical to BatchPerturbationEngine's.
+// sums commute) and decodes code slices straight to their global
+// offsets, so the assembled transcript is bit-identical to
+// BatchPerturbationEngine's. Code slices travel as width-tagged code
+// columns (wire.h): one byte per code while the matrix has at most 256
+// categories.
 //
 // All Parse* functions accept untrusted bytes and return Status on any
 // malformed input (fuzzed in net_fuzz_test.cc).
@@ -68,10 +71,11 @@ StatusOr<PeerRole> ServerHandshake(TcpConnection& conn, int64_t deadline_ms);
 
 // --- Release protocol ---
 
+// One shard of a column: codes [global_begin, global_begin + length).
 struct ShardAssignment {
   uint64_t shard_index = 0;   // chunk index within the column
   uint64_t global_begin = 0;  // offset of the slice in the full column
-  std::vector<uint32_t> codes;
+  uint64_t length = 0;        // codes in the slice
 };
 
 struct AssignShardsMsg {
@@ -82,28 +86,49 @@ struct AssignShardsMsg {
   uint64_t counter_stream = 0;  // philox: all elements on this stream
   std::optional<RrMatrix> matrix;
   std::vector<ShardAssignment> shards;
-};
-
-std::vector<uint8_t> EncodeAssignShards(const AssignShardsMsg& msg);
-StatusOr<AssignShardsMsg> ParseAssignShards(
-    const std::vector<uint8_t>& payload);
-
-struct ShardResult {
-  uint64_t shard_index = 0;
+  // Filled by ParseAssignShards: every shard's codes, widened to u32 and
+  // range-checked against the matrix, back to back in shard order.
   std::vector<uint32_t> codes;
 };
 
+// Encodes `msg` with shard i's codes read straight from
+// column[shards[i].global_begin, + shards[i].length) -- the caller's
+// column, never a per-shard copy -- narrowed to CodeWidth(matrix size)
+// and range-checked in the same pass: a code >= the matrix size fails
+// InvalidArgument. `msg.codes` is not read. The payload is sized up
+// front and allocated once.
+StatusOr<std::vector<uint8_t>> EncodeAssignShards(const AssignShardsMsg& msg,
+                                                  const uint32_t* column);
+StatusOr<AssignShardsMsg> ParseAssignShards(
+    const std::vector<uint8_t>& payload);
+
 struct PartialResultMsg {
   uint64_t task_id = 0;
-  std::vector<ShardResult> shards;
+  // The slices answered, in the assignment's order. Only shard_index and
+  // length travel: the coordinator knows where each slice belongs.
+  std::vector<ShardAssignment> shards;
+  // Perturbed codes back to back in shard order.
+  std::vector<uint32_t> codes;
   // Output-category counts over all assigned shards, merged worker-side
-  // (integer sums commute, so pre-merging loses nothing).
+  // (integer sums commute, so pre-merging loses nothing). One per matrix
+  // category, so counts.size() is also the codes' bound.
   std::vector<int64_t> counts;
 };
 
-std::vector<uint8_t> EncodePartialResult(const PartialResultMsg& msg);
-StatusOr<PartialResultMsg> ParsePartialResult(
-    const std::vector<uint8_t>& payload);
+// Codes travel at CodeWidth(counts.size()); one >= counts.size() fails
+// InvalidArgument. The payload is sized up front and allocated once.
+StatusOr<std::vector<uint8_t>> EncodePartialResult(
+    const PartialResultMsg& msg);
+
+// Parses the reply to `sent` in one pass: the task id, shard ids and
+// slice lengths must match `sent`, and shard i's codes are range-checked
+// against the matrix while they are decoded straight into
+// column[sent.shards[i].global_begin, + length). Returns the merged
+// counts (one per matrix category, none negative). On failure `column`
+// may be partly written.
+StatusOr<std::vector<int64_t>> ParsePartialResult(
+    const std::vector<uint8_t>& payload, const AssignShardsMsg& sent,
+    uint32_t* column);
 
 struct AbortMsg {
   std::string reason;
@@ -125,6 +150,7 @@ StatusOr<StreamOpenMsg> ParseStreamOpen(const std::vector<uint8_t>& payload);
 // A batch of already-perturbed reports with contiguous absolute
 // sequence numbers [first_sequence, first_sequence + num_reports).
 // `codes` is row-major: report k's attribute j at k * num_attributes + j.
+// The codes travel as one code column (wire.h).
 struct StreamReportMsg {
   uint64_t first_sequence = 0;
   uint32_t num_reports = 0;
@@ -132,7 +158,12 @@ struct StreamReportMsg {
   std::vector<uint32_t> codes;
 };
 
-std::vector<uint8_t> EncodeStreamReport(const StreamReportMsg& msg);
+// `code_bound` is the widest attribute's category count: it sets the
+// code width, and a code at or above it fails InvalidArgument. The parse
+// side does not know the schema, so the server range-checks each
+// attribute itself.
+StatusOr<std::vector<uint8_t>> EncodeStreamReport(const StreamReportMsg& msg,
+                                                  uint64_t code_bound);
 StatusOr<StreamReportMsg> ParseStreamReport(
     const std::vector<uint8_t>& payload);
 

@@ -1,5 +1,6 @@
 #include "mdrr/net/wire.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -13,12 +14,59 @@ namespace {
 constexpr uint8_t kMatrixStructured = 1;
 constexpr uint8_t kMatrixDense = 2;
 
+// A code column's width tag (u8) and length (u64).
+constexpr size_t kCodeColumnHeaderBytes = 9;
+
 // Bounds a claimed element count against the bytes actually present.
 Status CheckClaimedLength(uint64_t claimed, size_t element_bytes,
                           const WireReader& reader, const char* what) {
   if (claimed > reader.remaining() / element_bytes) {
     return Status::OutOfRange(std::string("claimed ") + what +
                               " length exceeds buffer");
+  }
+  return Status::OK();
+}
+
+// The bulk code loops. Each tracks the largest code alongside the copy,
+// so the range check costs no second pass; bytes move by shifts, never by
+// punning, so a column is little-endian on every host. Stores codes[0,
+// len) at kWidth bytes each into out; returns the largest code.
+template <size_t kWidth>
+uint32_t StoreCodes(const uint32_t* codes, size_t len, uint8_t* out) {
+  uint32_t largest = 0;
+  for (size_t i = 0; i < len; ++i) {
+    const uint32_t code = codes[i];
+    largest = std::max(largest, code);
+    for (size_t b = 0; b < kWidth; ++b) {
+      out[kWidth * i + b] = static_cast<uint8_t>(code >> (8 * b));
+    }
+  }
+  return largest;
+}
+
+// Loads `len` codes of kWidth bytes each from `in` into out[0, len);
+// returns the largest code.
+template <size_t kWidth>
+uint32_t LoadCodes(const uint8_t* in, size_t len, uint32_t* out) {
+  uint32_t largest = 0;
+  for (size_t i = 0; i < len; ++i) {
+    uint32_t code = 0;
+    for (size_t b = 0; b < kWidth; ++b) {
+      code |= static_cast<uint32_t>(in[kWidth * i + b]) << (8 * b);
+    }
+    largest = std::max(largest, code);
+    out[i] = code;
+  }
+  return largest;
+}
+
+// The range check the bulk code loops share: the largest code of the
+// column, judged once at the end.
+Status CheckLargestCode(uint32_t largest, size_t len, uint64_t bound) {
+  if (len > 0 && largest >= bound) {
+    return Status::InvalidArgument("code " + std::to_string(largest) +
+                                   " is outside the column's " +
+                                   std::to_string(bound) + " categories");
   }
   return Status::OK();
 }
@@ -42,6 +90,12 @@ void EncodeMatrix(const RrMatrix& matrix, WireWriter& writer) {
       writer.F64(dense(u, v));
     }
   }
+}
+
+size_t EncodedMatrixBytes(const RrMatrix& matrix) {
+  // Tag and size, then the three structured parameters or r * r doubles.
+  return matrix.is_structured() ? 1 + 8 + 8 + 8
+                                : 1 + 8 + 8 * matrix.size() * matrix.size();
 }
 
 StatusOr<RrMatrix> DecodeMatrix(WireReader& reader) {
@@ -92,18 +146,55 @@ StatusOr<std::vector<int64_t>> DecodeCounts(WireReader& reader) {
   return counts;
 }
 
-void EncodeCodes(const uint32_t* codes, size_t len, WireWriter& writer) {
-  writer.U64(len);
-  for (size_t i = 0; i < len; ++i) writer.U32(codes[i]);
+uint8_t CodeWidth(uint64_t bound) {
+  if (bound <= (uint64_t{1} << 8)) return 1;
+  if (bound <= (uint64_t{1} << 16)) return 2;
+  return 4;
 }
 
-StatusOr<std::vector<uint32_t>> DecodeCodes(WireReader& reader) {
-  MDRR_ASSIGN_OR_RETURN(uint64_t len, reader.U64());
-  MDRR_RETURN_IF_ERROR(CheckClaimedLength(len, 4, reader, "code column"));
-  std::vector<uint32_t> codes(static_cast<size_t>(len));
-  for (size_t i = 0; i < codes.size(); ++i) {
-    MDRR_ASSIGN_OR_RETURN(codes[i], reader.U32());
+size_t CodeColumnBytes(size_t len, uint64_t bound) {
+  return kCodeColumnHeaderBytes + len * CodeWidth(bound);
+}
+
+Status EncodeCodes(const uint32_t* codes, size_t len, uint64_t bound,
+                   WireWriter& writer) {
+  const uint8_t width = CodeWidth(bound);
+  writer.U8(width);
+  writer.U64(len);
+  uint8_t* out = writer.Grow(len * width);
+  uint32_t largest = 0;
+  switch (width) {
+    case 1: largest = StoreCodes<1>(codes, len, out); break;
+    case 2: largest = StoreCodes<2>(codes, len, out); break;
+    default: largest = StoreCodes<4>(codes, len, out); break;
   }
+  return CheckLargestCode(largest, len, bound);
+}
+
+Status WireCodes::WidenInto(uint64_t bound, uint32_t* out) const {
+  uint32_t largest = 0;
+  switch (width) {
+    case 1: largest = LoadCodes<1>(bytes, length, out); break;
+    case 2: largest = LoadCodes<2>(bytes, length, out); break;
+    default: largest = LoadCodes<4>(bytes, length, out); break;
+  }
+  return CheckLargestCode(largest, length, bound);
+}
+
+StatusOr<WireCodes> DecodeCodes(WireReader& reader) {
+  WireCodes codes;
+  MDRR_ASSIGN_OR_RETURN(codes.width, reader.U8());
+  if (codes.width != 1 && codes.width != 2 && codes.width != 4) {
+    return Status::InvalidArgument("code width tag " +
+                                   std::to_string(codes.width) +
+                                   " is not 1, 2 or 4");
+  }
+  MDRR_ASSIGN_OR_RETURN(uint64_t len, reader.U64());
+  MDRR_RETURN_IF_ERROR(
+      CheckClaimedLength(len, codes.width, reader, "code column"));
+  codes.length = static_cast<size_t>(len);
+  MDRR_ASSIGN_OR_RETURN(codes.bytes,
+                        reader.Borrow(codes.length * codes.width));
   return codes;
 }
 

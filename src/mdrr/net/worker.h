@@ -5,6 +5,10 @@
 // (Status::OK), aborts (Status::Unavailable with the reason), or the
 // connection fails. One call serves exactly one release session.
 //
+// The shards of one assignment spread over the host's cores, each thread
+// counting into its own row; the rows are summed at the end (integer sums
+// commute), so the reply does not depend on the thread count.
+//
 // Shard computation reproduces the in-process engine draw-for-draw:
 //   kMt19937: shard s draws from RngStreamFamily(seed).Stream(
 //             stream_base + s) via RandomizeRangeInto over the slice --
@@ -17,6 +21,7 @@
 #ifndef MDRR_NET_WORKER_H_
 #define MDRR_NET_WORKER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -34,6 +39,9 @@ struct WorkerOptions {
   // coordinator legitimately goes quiet while it runs the serial stages
   // (adjustment, synthesis, estimation) between column perturbations.
   int64_t idle_deadline_ms = 120000;
+  // Threads an assignment's shards spread over; 0 = one per hardware
+  // core. The reply is byte-identical for every value.
+  size_t num_threads = 0;
 };
 
 // Serves one coordinator session. Returns OK on Commit, an error on

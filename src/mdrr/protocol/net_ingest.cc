@@ -187,6 +187,9 @@ StatusOr<StreamIngestClientResult> StreamReportsOverSocket(
                                       options.deadline_ms));
 
   const size_t num_attrs = dataset.num_attributes();
+  // The widest attribute sets the width every report code travels at.
+  const uint64_t code_bound =
+      *std::max_element(cardinalities.begin(), cardinalities.end());
 
   for (uint64_t begin = 0; begin < total;
        begin += options.batch_size) {
@@ -202,9 +205,10 @@ StatusOr<StreamIngestClientResult> StreamReportsOverSocket(
           dataset, matrices, spec.execution, begin + k,
           batch.codes.data() + static_cast<size_t>(k) * num_attrs);
     }
+    MDRR_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                          net::EncodeStreamReport(batch, code_bound));
     MDRR_RETURN_IF_ERROR(conn.SendFrame(net::FrameType::kStreamReport,
-                                        net::EncodeStreamReport(batch),
-                                        options.deadline_ms));
+                                        payload, options.deadline_ms));
   }
 
   net::StreamSealMsg seal;

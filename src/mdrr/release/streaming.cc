@@ -92,11 +92,18 @@ StatusOr<std::unique_ptr<StreamingCollector>> StreamingCollector::Create(
         "streaming collection needs at least one attribute");
   }
   // The sizes may come from outside the program (a peer's StreamOpen,
-  // collector flags), so the preallocation -- the count ring plus each
-  // shard channel's report nodes -- is bounded like one transport frame
+  // collector flags), so the preallocation -- the count ring, each shard
+  // channel's report nodes, and the dense r x r matrix of every
+  // geometric-ordinal attribute -- is bounded like one transport frame
   // before anything is allocated.
   constexpr uint64_t kMaxCode = uint64_t{1} << 32;
+  // A dense RrMatrix holds, per cell, the probability (8 bytes), its row's
+  // alias-table entry (8 + 4) and the flat copy of that entry (8 + 4).
+  constexpr uint64_t kDenseBytesPerCell = 32;
+  const bool dense_design =
+      spec.mechanism.kind == MechanismKind::kGeometricOrdinal;
   uint64_t width = 0;
+  uint64_t matrix_bytes = 0;
   for (size_t r : cardinalities) {
     if (r > kMaxCode) {
       return Status::InvalidArgument(
@@ -104,6 +111,16 @@ StatusOr<std::unique_ptr<StreamingCollector>> StreamingCollector::Create(
           " exceeds 2^32, the range of a u32 report code");
     }
     width += r;
+    uint64_t dense = 0;
+    if (dense_design && r >= 2 &&
+        (!CheckedProduct({kDenseBytesPerCell, r, r}, dense) ||
+         __builtin_add_overflow(matrix_bytes, dense, &matrix_bytes) ||
+         matrix_bytes > net::kMaxFramePayload)) {
+      return Status::InvalidArgument(
+          "geometric-ordinal design over " + std::to_string(r) +
+          " categories needs dense r x r tables beyond the " +
+          std::to_string(net::kMaxFramePayload) + "-byte allocation bound");
+    }
   }
   const uint64_t ring = std::max<size_t>(options.ring_buckets, 2);
   const uint64_t shards = std::max<size_t>(options.num_shards, 1);
@@ -115,12 +132,14 @@ StatusOr<std::unique_ptr<StreamingCollector>> StreamingCollector::Create(
                        options.channel_capacity},
                       channel_bytes) ||
       __builtin_add_overflow(ring_bytes, channel_bytes, &bytes) ||
+      __builtin_add_overflow(bytes, matrix_bytes, &bytes) ||
       bytes > net::kMaxFramePayload) {
     return Status::InvalidArgument(
         "streaming collector of " + std::to_string(ring) + " ring buckets x " +
         std::to_string(shards) + " shards x " + std::to_string(width) +
         " summed categories (channel capacity " +
-        std::to_string(options.channel_capacity) + ") exceeds the " +
+        std::to_string(options.channel_capacity) + ", " +
+        std::to_string(matrix_bytes) + " matrix bytes) exceeds the " +
         std::to_string(net::kMaxFramePayload) + "-byte allocation bound");
   }
 

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "mdrr/core/clustering.h"
+#include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/adult.h"
+#include "mdrr/dataset/dataset.h"
 #include "mdrr/net/coordinator.h"
 #include "mdrr/net/frame.h"
 #include "mdrr/net/protocol.h"
@@ -39,6 +41,27 @@ constexpr size_t kShard = 256;  // Many shards at 2000 records.
 constexpr char kLoopback[] = "127.0.0.1";
 
 Dataset TestData() { return SynthesizeAdult(kRecords, /*seed=*/5); }
+
+// Uniform codes over attributes of 2, 300 and 70000 categories: one
+// attribute per code width on the wire.
+Dataset WideData() {
+  std::vector<Attribute> schema;
+  std::vector<std::vector<uint32_t>> columns;
+  Rng rng(23);
+  for (size_t r : {2u, 300u, 70000u}) {
+    Attribute attribute{"a" + std::to_string(r), AttributeType::kNominal, {}};
+    for (size_t v = 0; v < r; ++v) {
+      attribute.categories.push_back(std::to_string(v));
+    }
+    schema.push_back(std::move(attribute));
+    std::vector<uint32_t> column(kRecords);
+    for (uint32_t& code : column) {
+      code = static_cast<uint32_t>(rng.UniformInt(r));
+    }
+    columns.push_back(std::move(column));
+  }
+  return Dataset(std::move(schema), std::move(columns));
+}
 
 release::ReleaseSpec BaseSpec(release::MechanismKind kind, RngKind rng) {
   release::ReleaseSpec spec;
@@ -88,10 +111,12 @@ release::ReleaseArtifacts MustRun(const release::ReleaseSpec& spec,
 }
 
 // Runs the spec distributed over `num_workers` in-process worker
-// threads through a caller-hosted coordinator (ephemeral port).
+// threads through a caller-hosted coordinator (ephemeral port); each
+// worker spreads its shards over `worker_threads` (0 = every core).
 release::ReleaseArtifacts MustRunDistributed(release::ReleaseSpec spec,
                                              const Dataset& data,
-                                             size_t num_workers) {
+                                             size_t num_workers,
+                                             size_t worker_threads = 0) {
   spec.execution.kind = release::PolicyKind::kDistributed;
   spec.execution.num_workers = num_workers;
   auto plan = release::ReleasePlanner::Plan(spec, &data);
@@ -110,8 +135,10 @@ release::ReleaseArtifacts MustRunDistributed(release::ReleaseSpec spec,
   std::vector<std::thread> workers;
   workers.reserve(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
-    workers.emplace_back([port, w, &worker_status] {
-      worker_status[w] = net::RunWorker(kLoopback, port);
+    workers.emplace_back([port, w, worker_threads, &worker_status] {
+      net::WorkerOptions options;
+      options.num_threads = worker_threads;
+      worker_status[w] = net::RunWorker(kLoopback, port, options);
     });
   }
   Status accepted = coordinator.AcceptWorkers(num_workers);
@@ -163,6 +190,31 @@ TEST_P(DistributedEquality, ClustersMatchesShardedAt124Workers) {
     release::ReleaseArtifacts distributed =
         MustRunDistributed(spec, data, workers);
     ExpectSameArtifacts(distributed, sharded);
+  }
+}
+
+// Codes cross the wire at every width: 2 categories (u8), 300 (u16) and
+// 70000 (u32). Each worker's thread count must not matter either.
+TEST_P(DistributedEquality, IndependentMatchesShardedAtEveryCodeWidth) {
+  Dataset data = WideData();
+  release::ReleaseSpec spec =
+      BaseSpec(release::MechanismKind::kIndependent, GetParam());
+  // Adjustment and synthesis over 70000 categories are slow and never
+  // touch the wire; the randomized data and marginals are what crosses.
+  spec.adjustment.enabled = false;
+  spec.synthetic.enabled = false;
+  spec.execution.kind = release::PolicyKind::kSharded;
+  spec.execution.num_threads = 4;
+  release::ReleaseArtifacts sharded = MustRun(spec, data);
+
+  for (size_t workers : {1u, 2u, 4u}) {
+    for (size_t threads : {1u, 3u}) {
+      SCOPED_TRACE(testing::Message()
+                   << workers << " workers x " << threads << " threads");
+      release::ReleaseArtifacts distributed =
+          MustRunDistributed(spec, data, workers, threads);
+      ExpectSameArtifacts(distributed, sharded);
+    }
   }
 }
 
@@ -268,6 +320,50 @@ TEST(DistributedFailureTest, WorkerDisconnectAbortsTheRelease) {
   EXPECT_FALSE(coordinator.Commit().ok());
 }
 
+// An input code outside the matrix fails in the coordinator while the
+// column is narrowed, before any frame is sent: 65537 would otherwise
+// cross as the u16 1 under r = 300 and be perturbed silently. The session
+// is untouched -- the worker saw nothing, so the next column is served
+// and the session commits.
+TEST(DistributedFailureTest, OutOfRangeInputCodeFailsBeforeAnyFrame) {
+  net::CoordinatorOptions options;
+  options.seed = kSeed;
+  options.rng = RngKind::kPhilox;
+  options.shard_size = kShard;
+  options.deadline_ms = 5000;
+  net::Coordinator coordinator(options);
+  ASSERT_TRUE(coordinator.Listen(0).ok());
+  const uint16_t port = coordinator.port();
+  Status worker_status = Status::Internal("worker never ran");
+  std::thread worker(
+      [port, &worker_status] { worker_status = net::RunWorker(kLoopback, port); });
+  ASSERT_TRUE(coordinator.AcceptWorkers(1).ok());
+
+  const RrMatrix matrix = RrMatrix::KeepUniform(300, 0.6);
+  std::vector<uint32_t> codes(1000);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<uint32_t>(i % 300);
+  }
+  for (uint32_t bad : {300u, 65537u}) {
+    std::vector<uint32_t> hostile = codes;
+    hostile[777] = bad;
+    auto column = coordinator.PerturbColumn(matrix, hostile, 0, 1);
+    ASSERT_FALSE(column.ok()) << bad;
+    EXPECT_EQ(column.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+
+  auto column = coordinator.PerturbColumn(matrix, codes, 0, 1);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  std::vector<uint32_t> expected(codes.size());
+  std::vector<int64_t> counts(matrix.size(), 0);
+  matrix.RandomizeRangeCounterInto(codes.data(), codes.size(), 0, kSeed, 1,
+                                   expected.data(), counts.data());
+  EXPECT_EQ(column.value().codes, expected);
+  EXPECT_TRUE(coordinator.Commit().ok());
+  worker.join();
+  EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
+}
+
 TEST(DistributedFailureTest, HandshakeRejectsWrongVersion) {
   net::CoordinatorOptions options;
   options.deadline_ms = 2000;
@@ -294,6 +390,35 @@ TEST(DistributedFailureTest, HandshakeRejectsWrongVersion) {
   Status accepted = coordinator.AcceptWorkers(1);
   impostor.join();
   EXPECT_FALSE(accepted.ok());
+}
+
+// A v1 peer (u32 code columns) cannot join a v2 session: it is turned
+// away at the handshake, before any code column could be misread.
+TEST(DistributedFailureTest, HandshakeRejectsProtocolV1) {
+  ASSERT_EQ(net::kProtocolVersion, 2u);
+  net::CoordinatorOptions options;
+  options.deadline_ms = 2000;
+  net::Coordinator coordinator(options);
+  ASSERT_TRUE(coordinator.Listen(0).ok());
+  const uint16_t port = coordinator.port();
+
+  std::thread v1_worker([port] {
+    auto conn = net::TcpConnection::Connect(kLoopback, port, 2000);
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    net::HelloMsg hello;
+    hello.version = 1;
+    Status sent = conn.value().SendFrame(net::FrameType::kHello,
+                                         net::EncodeHello(hello), 2000);
+    EXPECT_TRUE(sent.ok()) << sent.ToString();
+    auto reply = conn.value().RecvFrame(2000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().type, net::FrameType::kAbort);
+  });
+  Status accepted = coordinator.AcceptWorkers(1);
+  v1_worker.join();
+  EXPECT_FALSE(accepted.ok());
+  EXPECT_NE(accepted.message().find("v1"), std::string::npos)
+      << accepted.ToString();
 }
 
 // ---------------------------------------------------------------------------

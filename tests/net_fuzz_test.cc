@@ -21,29 +21,55 @@ namespace {
 
 constexpr int kMutationsPerSeed = 200;
 
-// One well-formed exemplar per parser, so truncations and mutations
-// start from bytes that exercise the deep decode paths.
+// The assignments the PartialResult exemplars answer: one whose codes
+// travel as u8 (4 categories) and one as u16 (300 categories).
+AssignShardsMsg SentAssignment(size_t r) {
+  AssignShardsMsg sent;
+  sent.task_id = 3;
+  sent.rng_kind = 0;
+  sent.seed = 11;
+  sent.stream_base = 5;
+  sent.counter_stream = 2;
+  sent.matrix = RrMatrix::KeepUniform(r, 0.7);
+  sent.shards.push_back({0, 0, 5});
+  sent.shards.push_back({1, 5, 2});
+  return sent;
+}
+
+const AssignShardsMsg& SentU8() {
+  static const AssignShardsMsg sent = SentAssignment(4);
+  return sent;
+}
+
+const AssignShardsMsg& SentU16() {
+  static const AssignShardsMsg sent = SentAssignment(300);
+  return sent;
+}
+
+// One well-formed exemplar per parser (per code width for the release
+// messages), so truncations and mutations start from bytes that exercise
+// the deep decode paths.
 std::vector<std::vector<uint8_t>> Exemplars() {
   std::vector<std::vector<uint8_t>> exemplars;
 
   exemplars.push_back(EncodeHello(HelloMsg{}));
 
-  AssignShardsMsg assign;
-  assign.task_id = 3;
-  assign.rng_kind = 0;
-  assign.seed = 11;
-  assign.stream_base = 5;
-  assign.counter_stream = 2;
-  assign.matrix = RrMatrix::KeepUniform(4, 0.7);
-  assign.shards.push_back({0, 0, {0, 1, 2, 3, 0}});
-  assign.shards.push_back({1, 5, {3, 3}});
-  exemplars.push_back(EncodeAssignShards(assign));
+  const std::vector<uint32_t> column_u8 = {0, 1, 2, 3, 0, 3, 3};
+  exemplars.push_back(EncodeAssignShards(SentU8(), column_u8.data()).value());
+  const std::vector<uint32_t> column_u16 = {0, 299, 2, 257, 0, 3, 298};
+  exemplars.push_back(
+      EncodeAssignShards(SentU16(), column_u16.data()).value());
 
   PartialResultMsg partial;
   partial.task_id = 3;
-  partial.shards.push_back({0, {1, 1, 0, 2, 3}});
-  partial.counts = {2, 1, 1, 1};
-  exemplars.push_back(EncodePartialResult(partial));
+  partial.shards = SentU8().shards;
+  partial.codes = {1, 1, 0, 2, 3, 3, 0};
+  partial.counts = {2, 2, 1, 2};
+  exemplars.push_back(EncodePartialResult(partial).value());
+  partial.codes = {1, 280, 0, 2, 299, 3, 0};
+  partial.counts.assign(300, 0);
+  for (uint32_t code : partial.codes) ++partial.counts[code];
+  exemplars.push_back(EncodePartialResult(partial).value());
 
   exemplars.push_back(EncodeAbort(AbortMsg{"fuzz"}));
 
@@ -57,7 +83,9 @@ std::vector<std::vector<uint8_t>> Exemplars() {
   report.num_reports = 2;
   report.num_attributes = 3;
   report.codes = {0, 1, 3, 2, 0, 0};
-  exemplars.push_back(EncodeStreamReport(report));
+  exemplars.push_back(EncodeStreamReport(report, 4).value());
+  report.codes = {0, 1, 299, 2, 0, 257};
+  exemplars.push_back(EncodeStreamReport(report, 300).value());
 
   exemplars.push_back(EncodeStreamSeal(StreamSealMsg{64}));
 
@@ -75,7 +103,11 @@ std::vector<std::vector<uint8_t>> Exemplars() {
 void ParseEverything(const std::vector<uint8_t>& bytes) {
   (void)ParseHello(bytes);
   (void)ParseAssignShards(bytes);
-  (void)ParsePartialResult(bytes);
+  {
+    std::vector<uint32_t> column(7);
+    (void)ParsePartialResult(bytes, SentU8(), column.data());
+    (void)ParsePartialResult(bytes, SentU16(), column.data());
+  }
   (void)ParseAbort(bytes);
   (void)ParseStreamOpen(bytes);
   (void)ParseStreamReport(bytes);
@@ -91,7 +123,11 @@ void ParseEverything(const std::vector<uint8_t>& bytes) {
   }
   {
     WireReader reader(bytes);
-    (void)DecodeCodes(reader);
+    auto codes = DecodeCodes(reader);
+    if (codes.ok()) {
+      std::vector<uint32_t> out(codes.value().length);
+      (void)codes.value().WidenInto(300, out.data());
+    }
   }
 }
 
@@ -157,13 +193,32 @@ TEST(NetFuzzTest, HostileLengthClaimsFailBeforeAllocating) {
     report.num_reports = 2;
     report.num_attributes = 2;
     report.codes = {1, 1, 1, 1};
-    std::vector<uint8_t> bytes = EncodeStreamReport(report);
+    std::vector<uint8_t> bytes = EncodeStreamReport(report, 2).value();
     // Patch num_reports (offset 8) and num_attributes (offset 12) to
     // 0xFFFFFFFF each.
     for (size_t i = 8; i < 16; ++i) bytes[i] = 0xFF;
     EXPECT_FALSE(ParseStreamReport(bytes).ok());
   }
-
+  // A code column claiming 2^61 codes at each width, backed by 8 bytes.
+  for (uint8_t width : {1, 2, 4}) {
+    WireWriter writer;
+    writer.U8(width);
+    writer.U64(uint64_t{1} << 61);
+    writer.U64(0);
+    std::vector<uint8_t> bytes = writer.Release();
+    WireReader reader(bytes);
+    EXPECT_FALSE(DecodeCodes(reader).ok()) << int{width};
+  }
+  // An assignment claiming 2^60 shards.
+  {
+    std::vector<uint32_t> column(7);
+    std::vector<uint8_t> bytes =
+        EncodeAssignShards(SentU16(), column.data()).value();
+    // The shard count follows the 33-byte header and 25-byte matrix.
+    for (size_t i = 58; i < 66; ++i) bytes[i] = 0;
+    bytes[65] = 0x10;
+    EXPECT_FALSE(ParseAssignShards(bytes).ok());
+  }
 }
 
 TEST(NetFuzzTest, TrailingBytesAreAProtocolError) {

@@ -351,6 +351,33 @@ TEST(StreamingReleaseTest, OversizedCollectorIsRejectedNotAllocated) {
       release::StreamingCollector::Create(spec, {2, 2}, shards).ok());
 }
 
+// A geometric-ordinal design builds a dense r x r matrix (and its alias
+// tables) per attribute: at r = 20000 the matrix alone is 3.2 GB, so it
+// counts against the allocation bound and is refused before anything is
+// built. The same r under the structured keep-uniform design needs no
+// dense table and is accepted.
+TEST(StreamingReleaseTest, GeometricOrdinalMatrixCountsAgainstTheBound) {
+  release::ReleaseSpec spec = StreamingSpec(400);
+  spec.mechanism.kind = release::MechanismKind::kGeometricOrdinal;
+  spec.mechanism.geometric_epsilon = 1.0;
+  auto created = release::StreamingCollector::Create(
+      spec, {2, 20000}, release::StreamingCollectorOptions{});
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  // Attributes that each fit but together exceed the bound.
+  created = release::StreamingCollector::Create(
+      spec, {4000, 4000, 4000}, release::StreamingCollectorOptions{});
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(release::StreamingCollector::Create(
+                  spec, {2, 300}, release::StreamingCollectorOptions{})
+                  .ok());
+  EXPECT_TRUE(release::StreamingCollector::Create(
+                  StreamingSpec(400), {2, 20000},
+                  release::StreamingCollectorOptions{})
+                  .ok());
+}
+
 // ---------------------------------------------------------------------------
 // Zero-LU structured fast path.
 // ---------------------------------------------------------------------------
