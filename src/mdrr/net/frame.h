@@ -103,10 +103,6 @@ class WireWriter {
     buffer_.insert(buffer_.end(), p, p + len);
   }
 
-  // Makes room for `len` more bytes, so a payload whose size is known up
-  // front allocates once.
-  void Reserve(size_t len) { buffer_.reserve(buffer_.size() + len); }
-
   // Appends `len` bytes for the caller to fill and returns them: one
   // exact-size growth for a whole bulk-coded column.
   uint8_t* Grow(size_t len) {

@@ -19,10 +19,6 @@ Status CheckClaimed(uint64_t claimed, size_t element_bytes,
   return Status::OK();
 }
 
-// AssignShards' fixed header: task_id, rng_kind, seed, stream_base,
-// counter_stream.
-constexpr size_t kAssignHeaderBytes = 8 + 1 + 8 + 8 + 8;
-
 }  // namespace
 
 std::vector<uint8_t> EncodeHello(const HelloMsg& msg) {
@@ -115,12 +111,7 @@ StatusOr<PeerRole> ServerHandshake(TcpConnection& conn, int64_t deadline_ms) {
 StatusOr<std::vector<uint8_t>> EncodeAssignShards(const AssignShardsMsg& msg,
                                                   const uint32_t* column) {
   const uint64_t bound = msg.matrix->size();
-  size_t bytes = kAssignHeaderBytes + EncodedMatrixBytes(*msg.matrix) + 8;
-  for (const ShardAssignment& shard : msg.shards) {
-    bytes += 16 + CodeColumnBytes(shard.length, bound);
-  }
   WireWriter w;
-  w.Reserve(bytes);
   w.U64(msg.task_id);
   w.U8(msg.rng_kind);
   w.U64(msg.seed);
@@ -182,18 +173,13 @@ StatusOr<AssignShardsMsg> ParseAssignShards(
 StatusOr<std::vector<uint8_t>> EncodePartialResult(
     const PartialResultMsg& msg) {
   const uint64_t bound = msg.counts.size();
-  size_t bytes = 16 + 8 + 8 * msg.counts.size();
   size_t total = 0;
-  for (const ShardAssignment& shard : msg.shards) {
-    bytes += 8 + CodeColumnBytes(shard.length, bound);
-    total += shard.length;
-  }
+  for (const ShardAssignment& shard : msg.shards) total += shard.length;
   if (total != msg.codes.size()) {
     return Status::InvalidArgument(
         "PartialResult shard lengths do not cover its codes");
   }
   WireWriter w;
-  w.Reserve(bytes);
   w.U64(msg.task_id);
   w.U64(msg.shards.size());
   const uint32_t* codes = msg.codes.data();
@@ -291,7 +277,6 @@ StatusOr<StreamOpenMsg> ParseStreamOpen(const std::vector<uint8_t>& payload) {
 StatusOr<std::vector<uint8_t>> EncodeStreamReport(const StreamReportMsg& msg,
                                                   uint64_t code_bound) {
   WireWriter w;
-  w.Reserve(16 + CodeColumnBytes(msg.codes.size(), code_bound));
   w.U64(msg.first_sequence);
   w.U32(msg.num_reports);
   w.U32(msg.num_attributes);

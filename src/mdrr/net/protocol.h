@@ -95,8 +95,7 @@ struct AssignShardsMsg {
 // column[shards[i].global_begin, + shards[i].length) -- the caller's
 // column, never a per-shard copy -- narrowed to CodeWidth(matrix size)
 // and range-checked in the same pass: a code >= the matrix size fails
-// InvalidArgument. `msg.codes` is not read. The payload is sized up
-// front and allocated once.
+// InvalidArgument. `msg.codes` is not read.
 StatusOr<std::vector<uint8_t>> EncodeAssignShards(const AssignShardsMsg& msg,
                                                   const uint32_t* column);
 StatusOr<AssignShardsMsg> ParseAssignShards(
@@ -116,7 +115,7 @@ struct PartialResultMsg {
 };
 
 // Codes travel at CodeWidth(counts.size()); one >= counts.size() fails
-// InvalidArgument. The payload is sized up front and allocated once.
+// InvalidArgument.
 StatusOr<std::vector<uint8_t>> EncodePartialResult(
     const PartialResultMsg& msg);
 

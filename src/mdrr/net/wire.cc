@@ -14,9 +14,6 @@ namespace {
 constexpr uint8_t kMatrixStructured = 1;
 constexpr uint8_t kMatrixDense = 2;
 
-// A code column's width tag (u8) and length (u64).
-constexpr size_t kCodeColumnHeaderBytes = 9;
-
 // Bounds a claimed element count against the bytes actually present.
 Status CheckClaimedLength(uint64_t claimed, size_t element_bytes,
                           const WireReader& reader, const char* what) {
@@ -92,12 +89,6 @@ void EncodeMatrix(const RrMatrix& matrix, WireWriter& writer) {
   }
 }
 
-size_t EncodedMatrixBytes(const RrMatrix& matrix) {
-  // Tag and size, then the three structured parameters or r * r doubles.
-  return matrix.is_structured() ? 1 + 8 + 8 + 8
-                                : 1 + 8 + 8 * matrix.size() * matrix.size();
-}
-
 StatusOr<RrMatrix> DecodeMatrix(WireReader& reader) {
   MDRR_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
   if (tag == kMatrixStructured) {
@@ -150,10 +141,6 @@ uint8_t CodeWidth(uint64_t bound) {
   if (bound <= (uint64_t{1} << 8)) return 1;
   if (bound <= (uint64_t{1} << 16)) return 2;
   return 4;
-}
-
-size_t CodeColumnBytes(size_t len, uint64_t bound) {
-  return kCodeColumnHeaderBytes + len * CodeWidth(bound);
 }
 
 Status EncodeCodes(const uint32_t* codes, size_t len, uint64_t bound,

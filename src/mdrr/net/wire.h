@@ -35,8 +35,6 @@ namespace net {
 // --- RrMatrix ---
 
 void EncodeMatrix(const RrMatrix& matrix, WireWriter& writer);
-// Bytes EncodeMatrix appends, so payloads can be sized up front.
-size_t EncodedMatrixBytes(const RrMatrix& matrix);
 StatusOr<RrMatrix> DecodeMatrix(WireReader& reader);
 
 // --- Count buffers (i64) ---
@@ -54,10 +52,6 @@ StatusOr<std::vector<int64_t>> DecodeCounts(WireReader& reader);
 
 // Narrowest code width in bytes (1, 2 or 4) for codes below `bound`.
 uint8_t CodeWidth(uint64_t bound);
-
-// Wire bytes of a `len`-code column under `bound`: the 9-byte width tag
-// and length, then the codes.
-size_t CodeColumnBytes(size_t len, uint64_t bound);
 
 // Appends codes[0, len) at CodeWidth(bound) bytes each through one
 // exact-size growth of `writer`, range-checking every code in the same

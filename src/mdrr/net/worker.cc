@@ -17,12 +17,11 @@ namespace net {
 namespace {
 
 // Computes one assignment's shards and the worker-merged counts. The
-// shards spread over `num_threads` (0 = one per core); each thread adds
-// into its own count row and the rows are summed at the end. Integer
-// sums commute, so the counts -- like the codes, which land at fixed
-// offsets -- do not depend on the thread count.
-StatusOr<PartialResultMsg> ComputeAssignment(const AssignShardsMsg& msg,
-                                             size_t num_threads) {
+// shards spread over the host's cores; each thread adds into its own
+// count row and the rows are summed at the end. Integer sums commute, so
+// the counts -- like the codes, which land at fixed offsets -- do not
+// depend on the thread count.
+StatusOr<PartialResultMsg> ComputeAssignment(const AssignShardsMsg& msg) {
   if (!msg.matrix.has_value()) {
     return Status::InvalidArgument("assignment carries no matrix");
   }
@@ -54,7 +53,7 @@ StatusOr<PartialResultMsg> ComputeAssignment(const AssignShardsMsg& msg,
     offsets[s + 1] = offsets[s] + msg.shards[s].length;
   }
   const size_t threads = std::min(
-      ResolveWorkerCount(num_threads, num_shards, 1),
+      ResolveWorkerCount(/*num_threads=*/0, num_shards, 1),
       std::max<size_t>(1, kMaxFramePayload / (sizeof(int64_t) * r)));
   std::vector<std::vector<int64_t>> rows(threads, std::vector<int64_t>(r, 0));
 
@@ -86,14 +85,14 @@ StatusOr<PartialResultMsg> ComputeAssignment(const AssignShardsMsg& msg,
 
 // Parses one AssignShards payload, computes it, and encodes the reply.
 StatusOr<std::vector<uint8_t>> AnswerAssignment(
-    const std::vector<uint8_t>& payload, size_t num_threads) {
+    const std::vector<uint8_t>& payload) {
   auto msg = ParseAssignShards(payload);
   if (!msg.ok()) {
     return Status(msg.status().code(),
                   "malformed AssignShards: " + msg.status().message());
   }
   MDRR_ASSIGN_OR_RETURN(PartialResultMsg partial,
-                        ComputeAssignment(msg.value(), num_threads));
+                        ComputeAssignment(msg.value()));
   return EncodePartialResult(partial);
 }
 
@@ -112,7 +111,7 @@ Status RunWorker(const std::string& host, uint16_t port,
                           conn.RecvFrame(options.idle_deadline_ms));
     switch (frame.type) {
       case FrameType::kAssignShards: {
-        auto reply = AnswerAssignment(frame.payload, options.num_threads);
+        auto reply = AnswerAssignment(frame.payload);
         if (!reply.ok()) {
           AbortMsg abort{reply.status().message()};
           conn.SendFrame(FrameType::kAbort, EncodeAbort(abort),

@@ -39,9 +39,6 @@ struct WorkerOptions {
   // coordinator legitimately goes quiet while it runs the serial stages
   // (adjustment, synthesis, estimation) between column perturbations.
   int64_t idle_deadline_ms = 120000;
-  // Threads an assignment's shards spread over; 0 = one per hardware
-  // core. The reply is byte-identical for every value.
-  size_t num_threads = 0;
 };
 
 // Serves one coordinator session. Returns OK on Commit, an error on

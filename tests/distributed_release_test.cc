@@ -111,12 +111,10 @@ release::ReleaseArtifacts MustRun(const release::ReleaseSpec& spec,
 }
 
 // Runs the spec distributed over `num_workers` in-process worker
-// threads through a caller-hosted coordinator (ephemeral port); each
-// worker spreads its shards over `worker_threads` (0 = every core).
+// threads through a caller-hosted coordinator (ephemeral port).
 release::ReleaseArtifacts MustRunDistributed(release::ReleaseSpec spec,
                                              const Dataset& data,
-                                             size_t num_workers,
-                                             size_t worker_threads = 0) {
+                                             size_t num_workers) {
   spec.execution.kind = release::PolicyKind::kDistributed;
   spec.execution.num_workers = num_workers;
   auto plan = release::ReleasePlanner::Plan(spec, &data);
@@ -135,10 +133,8 @@ release::ReleaseArtifacts MustRunDistributed(release::ReleaseSpec spec,
   std::vector<std::thread> workers;
   workers.reserve(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
-    workers.emplace_back([port, w, worker_threads, &worker_status] {
-      net::WorkerOptions options;
-      options.num_threads = worker_threads;
-      worker_status[w] = net::RunWorker(kLoopback, port, options);
+    workers.emplace_back([port, w, &worker_status] {
+      worker_status[w] = net::RunWorker(kLoopback, port);
     });
   }
   Status accepted = coordinator.AcceptWorkers(num_workers);
@@ -194,7 +190,7 @@ TEST_P(DistributedEquality, ClustersMatchesShardedAt124Workers) {
 }
 
 // Codes cross the wire at every width: 2 categories (u8), 300 (u16) and
-// 70000 (u32). Each worker's thread count must not matter either.
+// 70000 (u32).
 TEST_P(DistributedEquality, IndependentMatchesShardedAtEveryCodeWidth) {
   Dataset data = WideData();
   release::ReleaseSpec spec =
@@ -208,13 +204,10 @@ TEST_P(DistributedEquality, IndependentMatchesShardedAtEveryCodeWidth) {
   release::ReleaseArtifacts sharded = MustRun(spec, data);
 
   for (size_t workers : {1u, 2u, 4u}) {
-    for (size_t threads : {1u, 3u}) {
-      SCOPED_TRACE(testing::Message()
-                   << workers << " workers x " << threads << " threads");
-      release::ReleaseArtifacts distributed =
-          MustRunDistributed(spec, data, workers, threads);
-      ExpectSameArtifacts(distributed, sharded);
-    }
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    release::ReleaseArtifacts distributed =
+        MustRunDistributed(spec, data, workers);
+    ExpectSameArtifacts(distributed, sharded);
   }
 }
 
@@ -364,61 +357,41 @@ TEST(DistributedFailureTest, OutOfRangeInputCodeFailsBeforeAnyFrame) {
   EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
 }
 
+// A peer speaking any other version -- including v1, which sent every
+// code as a u32 -- is turned away at the handshake, before any code
+// column could be misread.
 TEST(DistributedFailureTest, HandshakeRejectsWrongVersion) {
-  net::CoordinatorOptions options;
-  options.deadline_ms = 2000;
-  net::Coordinator coordinator(options);
-  ASSERT_TRUE(coordinator.Listen(0).ok());
-  const uint16_t port = coordinator.port();
-
-  std::thread impostor([port] {
-    auto conn = net::TcpConnection::Connect(kLoopback, port, 2000);
-    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
-    net::HelloMsg hello;
-    hello.magic = net::kProtocolMagic;
-    hello.version = net::kProtocolVersion + 1;
-    hello.role = net::PeerRole::kWorker;
-    Status sent = conn.value().SendFrame(net::FrameType::kHello,
-                                         net::EncodeHello(hello), 2000);
-    EXPECT_TRUE(sent.ok()) << sent.ToString();
-    // The server answers with Abort, not HelloAck.
-    auto reply = conn.value().RecvFrame(2000);
-    if (reply.ok()) {
-      EXPECT_EQ(reply.value().type, net::FrameType::kAbort);
-    }
-  });
-  Status accepted = coordinator.AcceptWorkers(1);
-  impostor.join();
-  EXPECT_FALSE(accepted.ok());
-}
-
-// A v1 peer (u32 code columns) cannot join a v2 session: it is turned
-// away at the handshake, before any code column could be misread.
-TEST(DistributedFailureTest, HandshakeRejectsProtocolV1) {
   ASSERT_EQ(net::kProtocolVersion, 2u);
-  net::CoordinatorOptions options;
-  options.deadline_ms = 2000;
-  net::Coordinator coordinator(options);
-  ASSERT_TRUE(coordinator.Listen(0).ok());
-  const uint16_t port = coordinator.port();
+  for (uint32_t version : {1u, net::kProtocolVersion + 1}) {
+    SCOPED_TRACE(testing::Message() << "peer v" << version);
+    net::CoordinatorOptions options;
+    options.deadline_ms = 2000;
+    net::Coordinator coordinator(options);
+    ASSERT_TRUE(coordinator.Listen(0).ok());
+    const uint16_t port = coordinator.port();
 
-  std::thread v1_worker([port] {
-    auto conn = net::TcpConnection::Connect(kLoopback, port, 2000);
-    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
-    net::HelloMsg hello;
-    hello.version = 1;
-    Status sent = conn.value().SendFrame(net::FrameType::kHello,
-                                         net::EncodeHello(hello), 2000);
-    EXPECT_TRUE(sent.ok()) << sent.ToString();
-    auto reply = conn.value().RecvFrame(2000);
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    EXPECT_EQ(reply.value().type, net::FrameType::kAbort);
-  });
-  Status accepted = coordinator.AcceptWorkers(1);
-  v1_worker.join();
-  EXPECT_FALSE(accepted.ok());
-  EXPECT_NE(accepted.message().find("v1"), std::string::npos)
-      << accepted.ToString();
+    std::thread impostor([port, version] {
+      auto conn = net::TcpConnection::Connect(kLoopback, port, 2000);
+      ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+      net::HelloMsg hello;
+      hello.magic = net::kProtocolMagic;
+      hello.version = version;
+      hello.role = net::PeerRole::kWorker;
+      Status sent = conn.value().SendFrame(net::FrameType::kHello,
+                                           net::EncodeHello(hello), 2000);
+      EXPECT_TRUE(sent.ok()) << sent.ToString();
+      // The server answers with Abort, not HelloAck.
+      auto reply = conn.value().RecvFrame(2000);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_EQ(reply.value().type, net::FrameType::kAbort);
+    });
+    Status accepted = coordinator.AcceptWorkers(1);
+    impostor.join();
+    EXPECT_FALSE(accepted.ok());
+    const std::string named = "v" + std::to_string(version);
+    EXPECT_NE(accepted.message().find(named), std::string::npos)
+        << accepted.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------

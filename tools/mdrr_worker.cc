@@ -1,7 +1,6 @@
 // mdrr_worker: worker process for a distributed release.
 //
-//   mdrr_worker --connect=HOST:PORT [--threads=N] [--deadline_ms=MS]
-//               [--idle_deadline_ms=MS]
+//   mdrr_worker --connect=HOST:PORT [--deadline_ms=MS] [--idle_deadline_ms=MS]
 //
 // Connects to a coordinator (a `mdrr_cli run --listen=PORT` process or
 // an embedded net::Coordinator), handshakes, and serves shard
@@ -9,9 +8,8 @@
 // and no spec: everything it needs to reproduce the engine's
 // deterministic draws (matrix, seed, stream addresses, shard slices)
 // arrives in each AssignShards message. The shards of an assignment
-// spread over the host's cores (--threads=N caps the threads, e.g. when
-// several workers share a host; 0, the default, is one per core); the
-// result is byte-identical for every thread count.
+// spread over the host's cores; the result is byte-identical for every
+// core count.
 //
 // Exit status: 0 after a clean Commit, 1 on a malformed flag value or on
 // any transport, protocol, or compute failure (including a coordinator
@@ -24,10 +22,6 @@
 #include "mdrr/common/string_util.h"
 #include "mdrr/net/worker.h"
 
-// --threads above this is a malformed flag, not a request for that many
-// OS threads.
-constexpr int64_t kMaxThreads = 1024;
-
 int main(int argc, char** argv) {
   mdrr::FlagSet flags;
   flags.Parse(argc, argv);
@@ -36,10 +30,10 @@ int main(int argc, char** argv) {
   const size_t colon = target.rfind(':');
   if (target.empty() || colon == std::string::npos) {
     std::fprintf(stderr,
-                 "usage: mdrr_worker --connect=HOST:PORT [--threads=N] "
-                 "[--deadline_ms=MS] [--idle_deadline_ms=MS]\n"
-                 "  the shards of each assignment spread over N threads "
-                 "(0 = one per core)\n");
+                 "usage: mdrr_worker --connect=HOST:PORT [--deadline_ms=MS] "
+                 "[--idle_deadline_ms=MS]\n"
+                 "  the shards of each assignment spread over the host's "
+                 "cores\n");
     return 1;
   }
   const std::string host = target.substr(0, colon);
@@ -53,8 +47,6 @@ int main(int argc, char** argv) {
   options.deadline_ms = flags.GetInt("deadline_ms", options.deadline_ms);
   options.idle_deadline_ms =
       flags.GetInt("idle_deadline_ms", options.idle_deadline_ms);
-  options.num_threads =
-      static_cast<size_t>(flags.GetInt("threads", 0, 0, kMaxThreads));
   if (mdrr::Status parsed = flags.status(); !parsed.ok()) {
     std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
     return 1;
