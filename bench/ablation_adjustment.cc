@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const double p = flags.GetDouble("p", 0.7);
   const double sigma = flags.GetDouble("sigma", 0.1);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader(
       "Ablation: RR-Adjustment iteration budget (Algorithm 2 termination)");

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 200000));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader(
       "Ablation: Proposition 1 covariance attenuation Cov(Y) = p^2 Cov(X)");

@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   const size_t n = static_cast<size_t>(flags.GetInt("n", 8000));
   const double p = flags.GetDouble("p", 0.8);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::Dataset adult = mdrr::SynthesizeAdult(n, seed);
   mdrr::ClusteringOptions clustering{50.0, 0.1};

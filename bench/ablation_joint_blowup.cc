@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   const double p = flags.GetDouble("p", 0.7);
   const int64_t max_attrs = flags.GetInt("max_attrs", 5);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader(
       "Ablation: empirical RR-Joint blow-up with attribute count");

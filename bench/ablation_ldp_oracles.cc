@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(flags.GetInt("n", 20000));
   const int reps = static_cast<int>(flags.GetInt("reps", 40));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader(
       "Ablation: LDP frequency oracles (DE vs SUE vs OUE) at equal "

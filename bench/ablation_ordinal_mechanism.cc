@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const double alpha = flags.GetDouble("alpha", 0.4);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   const size_t attr = mdrr::kAdultEducation;
   const size_t r = adult.attribute(attr).cardinality();

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   const double td = flags.GetDouble("td", 0.1);
   const int runs = mdrr::bench::RunsFlag(flags, 10);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::Dataset mushroom = mdrr::SynthesizeMushroom(n, seed);
   mdrr::bench::PrintHeader(

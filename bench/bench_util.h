@@ -5,7 +5,6 @@
 #ifndef MDRR_BENCH_BENCH_UTIL_H_
 #define MDRR_BENCH_BENCH_UTIL_H_
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -46,23 +45,16 @@ inline void PrintHeader(const char* title) {
   std::printf("=== %s ===\n", title);
 }
 
-// Wall-clock stopwatch for coarse pipeline timings (the google-benchmark
-// microbenches handle the fine-grained ones).
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-
-  void Restart() { start_ = std::chrono::steady_clock::now(); }
-
-  double Seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
+// Prints what FlagSet::status() reports (a malformed value, an
+// out-of-range integer, an unknown flag name) and returns false. Call it
+// after the last flag read, so a typo never runs at a default.
+inline bool FlagsOk(const FlagSet& flags) {
+  Status status = flags.status();
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
+  return status.ok();
+}
 
 }  // namespace mdrr::bench
 

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   double alpha = flags.GetDouble("alpha", 0.05);
   int64_t max_r = flags.GetInt("max_r", 100000);
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader("Figure 1: sqrt(B) vs number of categories r");
   std::printf("# alpha = %.3f; B = chi2_1 upper (alpha/r) percentile\n",

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));
   const double p = flags.GetDouble("p", 0.7);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader(
       "Figure 2: Randomized vs RR-Independent count-query error (p = 0.7)");

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   const int adj_iters = static_cast<int>(flags.GetInt("adj_iters", 30));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader(
       "Figure 3: relative error of RR-Ind / RR-Ind+Adj / RR-Cluster / "

@@ -1,48 +1,133 @@
-// Microbenchmarks of the hot paths every experiment exercises:
-// randomization throughput (structured and alias-table), domain
-// composition, empirical distributions, and the full RR-Independent
-// protocol on Adult-sized data.
+// Microbenchmarks of the per-column kernels the release pipeline runs.
+//
+//   * The two RNG policies' perturbation kernels on one column:
+//     RrMatrix::RandomizeRangeInto (mt19937, one sequential stream)
+//     against RandomizeRangeCounterInto (philox, one block per element),
+//     for a structured design (the paper's keep-or-replace matrices) and
+//     a dense one (alias-table lookups), at r in {2, 16, 300}.
+//   * The frequency-oracle backends' fused perturb+count kernels,
+//     AccumulateRangeCounter for direct, optimized-unary and local-hashing
+//     encoding at equal epsilon (the epsilon of KeepUniform(r, 0.7)).
+//   * Domain::ComposeColumns, which builds the cluster codes of the
+//     party-level session.
+//
+// Items are records. The structured-solve vs LU comparison lives in
+// bench/ablation_matrix_inverse.cc.
 
+#include <cstdint>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
-#include "mdrr/core/estimator.h"
-#include "mdrr/core/rr_independent.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/dataset/domain.h"
-#include "mdrr/rng/alias_sampler.h"
+#include "mdrr/linalg/matrix.h"
 #include "mdrr/rng/rng.h"
 
 namespace {
 
-void BM_StructuredRandomizeColumn(benchmark::State& state) {
+constexpr size_t kRecords = size_t{1} << 16;
+constexpr uint64_t kSeed = 11;
+
+std::vector<uint32_t> UniformCodes(size_t r) {
+  mdrr::Rng rng(5);
+  std::vector<uint32_t> codes(kRecords);
+  for (uint32_t& c : codes) c = static_cast<uint32_t>(rng.UniformInt(r));
+  return codes;
+}
+
+// Keeps the true code with a probability that grows with it and spreads
+// the rest evenly: no uniform-mixture shape, so every draw is an alias
+// lookup.
+mdrr::RrMatrix DenseDesign(size_t r) {
+  mdrr::linalg::Matrix p(r, r, 0.0);
+  for (size_t u = 0; u < r; ++u) {
+    const double keep = 0.5 + 0.3 * static_cast<double>(u) /
+                                  static_cast<double>(r - 1);
+    for (size_t v = 0; v < r; ++v) {
+      p(u, v) = u == v ? keep : (1.0 - keep) / static_cast<double>(r - 1);
+    }
+  }
+  return mdrr::RrMatrix::FromDense(p).value();
+}
+
+mdrr::RrMatrix Design(size_t r, bool structured) {
+  return structured ? mdrr::RrMatrix::KeepUniform(r, 0.7) : DenseDesign(r);
+}
+
+void RandomizeRange(benchmark::State& state, bool structured, bool philox) {
   const size_t r = static_cast<size_t>(state.range(0));
-  mdrr::RrMatrix matrix = mdrr::RrMatrix::KeepUniform(r, 0.7);
-  mdrr::Rng rng(1);
-  std::vector<uint32_t> codes(32561);
-  for (auto& c : codes) c = static_cast<uint32_t>(rng.UniformInt(r));
+  const mdrr::RrMatrix matrix = Design(r, structured);
+  const std::vector<uint32_t> codes = UniformCodes(r);
+  std::vector<uint32_t> out(kRecords);
+  std::vector<int64_t> counts(r);
+  mdrr::Rng rng(kSeed);
   for (auto _ : state) {
-    auto result = matrix.RandomizeColumn(codes, rng);
-    benchmark::DoNotOptimize(result);
+    if (philox) {
+      matrix.RandomizeRangeCounterInto(codes, 0, kRecords, kSeed, 0,
+                                       out.data(), counts.data());
+    } else {
+      matrix.RandomizeRangeInto(codes, 0, kRecords, rng, out.data(),
+                                counts.data());
+    }
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(codes.size()));
+                          static_cast<int64_t>(kRecords));
 }
-BENCHMARK(BM_StructuredRandomizeColumn)->Arg(2)->Arg(16)->Arg(300);
 
-void BM_AliasSample(benchmark::State& state) {
-  const size_t r = static_cast<size_t>(state.range(0));
-  mdrr::Rng rng(2);
-  std::vector<double> weights(r);
-  for (double& w : weights) w = rng.UniformDouble() + 0.01;
-  mdrr::AliasSampler sampler(weights);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Sample(rng));
-  }
+void BM_RandomizeRangeInto_Structured(benchmark::State& state) {
+  RandomizeRange(state, true, false);
 }
-BENCHMARK(BM_AliasSample)->Arg(16)->Arg(300)->Arg(4096);
+BENCHMARK(BM_RandomizeRangeInto_Structured)->Arg(2)->Arg(16)->Arg(300);
+
+void BM_RandomizeRangeCounterInto_Structured(benchmark::State& state) {
+  RandomizeRange(state, true, true);
+}
+BENCHMARK(BM_RandomizeRangeCounterInto_Structured)->Arg(2)->Arg(16)->Arg(300);
+
+void BM_RandomizeRangeInto_Dense(benchmark::State& state) {
+  RandomizeRange(state, false, false);
+}
+BENCHMARK(BM_RandomizeRangeInto_Dense)->Arg(2)->Arg(16)->Arg(300);
+
+void BM_RandomizeRangeCounterInto_Dense(benchmark::State& state) {
+  RandomizeRange(state, false, true);
+}
+BENCHMARK(BM_RandomizeRangeCounterInto_Dense)->Arg(2)->Arg(16)->Arg(300);
+
+void AccumulateRangeCounter(benchmark::State& state,
+                            mdrr::OracleBackend backend) {
+  const size_t r = static_cast<size_t>(state.range(0));
+  const double epsilon = mdrr::RrMatrix::KeepUniform(r, 0.7).Epsilon();
+  const auto oracle = mdrr::MakeFrequencyOracle(backend, r, epsilon).value();
+  const std::vector<uint32_t> codes = UniformCodes(r);
+  std::vector<int64_t> counts(r);
+  for (auto _ : state) {
+    oracle->AccumulateRangeCounter(codes, 0, kRecords, kSeed, 0, nullptr,
+                                   counts.data());
+    benchmark::DoNotOptimize(counts.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRecords));
+}
+
+void BM_AccumulateRangeCounter_DE(benchmark::State& state) {
+  AccumulateRangeCounter(state, mdrr::OracleBackend::kDirect);
+}
+BENCHMARK(BM_AccumulateRangeCounter_DE)->Arg(2)->Arg(16)->Arg(300);
+
+void BM_AccumulateRangeCounter_OUE(benchmark::State& state) {
+  AccumulateRangeCounter(state, mdrr::OracleBackend::kOptimizedUnary);
+}
+BENCHMARK(BM_AccumulateRangeCounter_OUE)->Arg(2)->Arg(16)->Arg(300);
+
+void BM_AccumulateRangeCounter_OLH(benchmark::State& state) {
+  AccumulateRangeCounter(state, mdrr::OracleBackend::kLocalHashing);
+}
+BENCHMARK(BM_AccumulateRangeCounter_OLH)->Arg(2)->Arg(16)->Arg(300);
 
 void BM_DomainCompose(benchmark::State& state) {
   mdrr::Dataset adult = mdrr::SynthesizeAdult(32561, 3);
@@ -56,28 +141,6 @@ void BM_DomainCompose(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 32561);
 }
 BENCHMARK(BM_DomainCompose);
-
-void BM_EmpiricalDistribution(benchmark::State& state) {
-  mdrr::Rng rng(5);
-  std::vector<uint32_t> codes(32561);
-  for (auto& c : codes) c = static_cast<uint32_t>(rng.UniformInt(300));
-  for (auto _ : state) {
-    auto dist = mdrr::EmpiricalDistribution(codes, 300);
-    benchmark::DoNotOptimize(dist);
-  }
-}
-BENCHMARK(BM_EmpiricalDistribution);
-
-void BM_FullRrIndependentOnAdult(benchmark::State& state) {
-  mdrr::Dataset adult = mdrr::SynthesizeAdult(32561, 7);
-  mdrr::Rng rng(11);
-  for (auto _ : state) {
-    auto result =
-        mdrr::RunRrIndependent(adult, mdrr::RrIndependentOptions{0.7}, rng);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_FullRrIndependentOnAdult);
 
 }  // namespace
 

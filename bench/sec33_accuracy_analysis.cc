@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   const double alpha = flags.GetDouble("alpha", 0.05);
   const int64_t n = flags.GetInt("n", 32561);
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader(
       "Section 3.3: analytic even-frequency relative error, "

@@ -20,6 +20,7 @@ int RunGrid(const mdrr::Dataset& dataset, const mdrr::FlagSet& flags,
   const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));
   const double sigma = flags.GetDouble("sigma", 0.1);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader(title);
   std::printf("# n = %zu records, %d runs per cell (paper: 1000), sigma=%.2f\n",

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));
   const double sigma = flags.GetDouble("sigma", 0.1);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (!mdrr::bench::FlagsOk(flags)) return 1;
 
   mdrr::bench::PrintHeader(
       "Table 2: RR-Clusters relative error on Adult6 (6x concatenation)");

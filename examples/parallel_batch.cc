@@ -23,6 +23,10 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 200000));
   const double p = flags.GetDouble("p", 0.7);
+  if (mdrr::Status parsed = flags.status(); !parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
 
   mdrr::Dataset data = mdrr::SynthesizeAdult(n, /*seed=*/2020);
   std::printf("workload: %zu synthetic Adult records, %zu attributes\n",

@@ -99,8 +99,7 @@ class WireWriter {
   }
 
   void Bytes(const void* data, size_t len) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    buffer_.insert(buffer_.end(), p, p + len);
+    if (len > 0) std::memcpy(Grow(len), data, len);
   }
 
   // Appends `len` bytes for the caller to fill and returns them: one

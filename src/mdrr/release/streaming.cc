@@ -229,7 +229,7 @@ StatusOr<std::unique_ptr<StreamingCollector>> StreamingCollector::Resume(
     collector->counts_.RestoreBucket(tail.bucket, tail.counts,
                                      tail.num_reports);
   }
-  return std::move(collector);
+  return collector;
 }
 
 bool StreamingCollector::TrySubmit(size_t shard, uint64_t sequence,

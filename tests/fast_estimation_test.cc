@@ -60,6 +60,16 @@ std::vector<std::vector<double>> RandomRhs(size_t count, size_t n,
   return bs;
 }
 
+// A random distribution over n categories: |RandomRhs| normalized.
+std::vector<double> RandomDistribution(size_t n, uint64_t seed) {
+  std::vector<double> lambda = RandomRhs(1, n, seed)[0];
+  for (double& x : lambda) x = std::fabs(x);
+  double total = 0.0;
+  for (double x : lambda) total += x;
+  for (double& x : lambda) x /= total;
+  return lambda;
+}
+
 // A dense (non-uniform-mixture) row-stochastic design.
 RrMatrix DenseRrMatrix(size_t r, double epsilon) {
   RrMatrix m = RrMatrix::GeometricOrdinal(r, epsilon);
@@ -252,6 +262,18 @@ TEST(StructuredBackendTest, FullEstimationPipelineTriggersNoFactorization) {
   ASSERT_TRUE(variances.ok());
   auto widths = EstimateConfidenceHalfWidths(m, lambda, 10000, 0.05);
   ASSERT_TRUE(widths.ok());
+  // The closed forms return the same bits at 1 and 4 threads.
+  const std::vector<double> skewed = RandomDistribution(500, 7);
+  const EstimationOptions one{1};
+  const EstimationOptions four{4};
+  auto estimate_one = EstimateProjectedDistribution(m, skewed, one);
+  auto estimate_four = EstimateProjectedDistribution(m, skewed, four);
+  auto variances_one = EstimateVariances(m, skewed, 10000, one);
+  auto variances_four = EstimateVariances(m, skewed, 10000, four);
+  ASSERT_TRUE(estimate_one.ok() && estimate_four.ok());
+  ASSERT_TRUE(variances_one.ok() && variances_four.ok());
+  EXPECT_EQ(estimate_four.value(), estimate_one.value());
+  EXPECT_EQ(variances_four.value(), variances_one.value());
   EXPECT_EQ(linalg::LuFactorizationCount(), factorizations_before)
       << "the structured path must never factor";
 }
@@ -262,11 +284,7 @@ TEST(VarianceBackendTest, ClosedFormMatchesGenericUnitVectorLoop) {
   for (size_t r : {2u, 3u, 9u, 50u}) {
     for (double p : {0.15, 0.5, 0.8}) {
       RrMatrix m = RrMatrix::KeepUniform(r, p);
-      std::vector<double> lambda = RandomRhs(1, r, r * 17 + 3)[0];
-      for (double& x : lambda) x = std::fabs(x);
-      double total = 0.0;
-      for (double x : lambda) total += x;
-      for (double& x : lambda) x /= total;
+      std::vector<double> lambda = RandomDistribution(r, r * 17 + 3);
       const int64_t n = 20000;
       auto closed_form = EstimateVariances(m, lambda, n);
       ASSERT_TRUE(closed_form.ok());
@@ -304,6 +322,30 @@ TEST(VarianceBackendTest, DenseVariancesBitIdenticalAcrossThreads) {
         EstimateVariances(m, lambda, 5000, EstimationOptions{threads});
     ASSERT_TRUE(swept.ok());
     EXPECT_EQ(swept.value(), baseline.value()) << "threads=" << threads;
+  }
+
+  // The Eq. (2) estimate and its variances past one LU block (64), so the
+  // blocked factorization's parallel updates run. A fresh matrix per
+  // thread count makes each one factor for itself instead of reusing
+  // cached factors.
+  const size_t r = 200;
+  const std::vector<double> skewed = RandomDistribution(r, 211);
+  std::vector<double> estimate_one;
+  std::vector<double> variances_one;
+  for (size_t threads : {1u, 2u, 4u}) {
+    RrMatrix fresh = DenseRrMatrix(r, 2.0);
+    auto estimate =
+        EstimateDistribution(fresh, skewed, EstimationOptions{threads});
+    ASSERT_TRUE(estimate.ok());
+    auto variances =
+        EstimateVariances(fresh, skewed, 5000, EstimationOptions{threads});
+    ASSERT_TRUE(variances.ok());
+    if (threads == 1) {
+      estimate_one = estimate.value();
+      variances_one = variances.value();
+    }
+    EXPECT_EQ(estimate.value(), estimate_one) << "threads=" << threads;
+    EXPECT_EQ(variances.value(), variances_one) << "threads=" << threads;
   }
 }
 

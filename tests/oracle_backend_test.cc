@@ -73,25 +73,32 @@ TEST(OracleSeamTest, DirectOracleMatchesIndependentColumnsBitwise) {
 }
 
 // RunOracle is bit-identical for any thread count at fixed (seed,
-// shard_size) for every backend, under both RNG policies.
+// shard_size) for every backend, under both RNG policies, and the three
+// backends at equal epsilon give three distinct count transcripts (each
+// is its own encoding, not an alias of another).
 TEST(OracleSeamTest, RunOracleIsThreadInvariant) {
   const Dataset data = SmallData();
   const std::vector<uint32_t>& column = data.column(1);
   const size_t r = data.attribute(1).cardinality();
 
-  for (OracleBackend backend :
-       {OracleBackend::kDirect, OracleBackend::kOptimizedUnary,
-        OracleBackend::kLocalHashing}) {
-    auto oracle = MakeFrequencyOracle(backend, r, 1.5);
-    ASSERT_TRUE(oracle.ok());
-    for (RngKind kind : {RngKind::kMt19937, RngKind::kPhilox}) {
+  for (RngKind kind : {RngKind::kMt19937, RngKind::kPhilox}) {
+    std::vector<std::vector<int64_t>> backend_counts;
+    for (OracleBackend backend :
+         {OracleBackend::kDirect, OracleBackend::kOptimizedUnary,
+          OracleBackend::kLocalHashing}) {
+      auto oracle = MakeFrequencyOracle(backend, r, 1.5);
+      ASSERT_TRUE(oracle.ok());
       BatchPerturbationEngine one(EngineOptions(1, kind));
       BatchPerturbationEngine four(EngineOptions(4, kind));
       OracleColumnResult a = one.RunOracle(*oracle.value(), column, 1);
       OracleColumnResult b = four.RunOracle(*oracle.value(), column, 1);
       EXPECT_EQ(a.codes, b.codes) << ToString(backend);
       EXPECT_EQ(a.counts, b.counts) << ToString(backend);
+      backend_counts.push_back(a.counts);
     }
+    EXPECT_NE(backend_counts[0], backend_counts[1]) << "DE == OUE";
+    EXPECT_NE(backend_counts[0], backend_counts[2]) << "DE == OLH";
+    EXPECT_NE(backend_counts[1], backend_counts[2]) << "OUE == OLH";
   }
 }
 
