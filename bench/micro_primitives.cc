@@ -44,8 +44,8 @@ std::vector<uint32_t> UniformCodes(size_t r) {
 mdrr::RrMatrix DenseDesign(size_t r) {
   mdrr::linalg::Matrix p(r, r, 0.0);
   for (size_t u = 0; u < r; ++u) {
-    const double keep = 0.5 + 0.3 * static_cast<double>(u) /
-                                  static_cast<double>(r - 1);
+    const double keep =
+        0.5 + 0.3 * static_cast<double>(u) / static_cast<double>(r - 1);
     for (size_t v = 0; v < r; ++v) {
       p(u, v) = u == v ? keep : (1.0 - keep) / static_cast<double>(r - 1);
     }
@@ -66,8 +66,8 @@ void RandomizeRange(benchmark::State& state, bool structured, bool philox) {
   mdrr::Rng rng(kSeed);
   for (auto _ : state) {
     if (philox) {
-      matrix.RandomizeRangeCounterInto(codes, 0, kRecords, kSeed, 0,
-                                       out.data(), counts.data());
+      matrix.RandomizeRangeCounterInto(codes, 0, kRecords, kSeed, 0, out.data(),
+                                       counts.data());
     } else {
       matrix.RandomizeRangeInto(codes, 0, kRecords, rng, out.data(),
                                 counts.data());

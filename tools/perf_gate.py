@@ -73,8 +73,7 @@ def main():
     with open(os.path.join(head, "BENCHMARK.json")) as f:
         spec = json.load(f)
     command, seconds = spec["command"], spec["run_seconds"]
-    report = {"base": {"path": base, "commit": commit_of(base)},
-              "head": {"path": head, "commit": commit_of(head)},
+    report = {"base": commit_of(base), "head": commit_of(head),
               "seeds": list(SEEDS), "run_seconds": seconds,
               "iqr_factor": IQR_FACTOR, "workloads": []}
     failed, flagged = [], []
