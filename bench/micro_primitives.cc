@@ -10,8 +10,12 @@
 //     encoding at equal epsilon (the epsilon of KeepUniform(r, 0.7)).
 //   * Domain::ComposeColumns, which builds the cluster codes of the
 //     party-level session.
+//   * Per-party seeding in the session (protocol/PartyBlock): a full
+//     mt19937_64 seeded and drawn once per party against the 32-output
+//     draw window (FillEnginePrefix) that stands in for it. Both include
+//     the lane-batched seed expansion; items are parties.
 //
-// Items are records. The structured-solve vs LU comparison lives in
+// Items are records unless stated otherwise. The structured-solve vs LU comparison lives in
 // bench/ablation_matrix_inverse.cc.
 
 #include <cstdint>
@@ -24,6 +28,7 @@
 #include "mdrr/dataset/adult.h"
 #include "mdrr/dataset/domain.h"
 #include "mdrr/linalg/matrix.h"
+#include "mdrr/rng/fast_seed.h"
 #include "mdrr/rng/rng.h"
 
 namespace {
@@ -141,6 +146,49 @@ void BM_DomainCompose(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 32561);
 }
 BENCHMARK(BM_DomainCompose);
+
+constexpr size_t kParties = 4096;
+
+std::vector<uint64_t> PartySeeds() {
+  mdrr::Rng seeder(kSeed);
+  std::vector<uint64_t> seeds(kParties);
+  for (uint64_t& s : seeds) s = seeder.engine()();
+  return seeds;
+}
+
+void BM_PartySeed_Engine(benchmark::State& state) {
+  const std::vector<uint64_t> seeds = PartySeeds();
+  std::vector<mdrr::Rng> engines(kParties, mdrr::Rng(0));
+  for (auto _ : state) {
+    uint64_t first = 0;
+    mdrr::ForEachSeedSequence(
+        seeds.data(), seeds.size(), [&](size_t i, const uint32_t* words) {
+          mdrr::ReplaySeedSeq replay(words, mdrr::kEngineSeedWords);
+          engines[i].engine().seed(replay);
+          first ^= engines[i].engine()();
+        });
+    benchmark::DoNotOptimize(first);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kParties));
+}
+BENCHMARK(BM_PartySeed_Engine);
+
+void BM_PartySeed_Prefix(benchmark::State& state) {
+  constexpr size_t kWindow = 32;  // 4 draws x 8 attributes, as on Adult.
+  const std::vector<uint64_t> seeds = PartySeeds();
+  std::vector<uint64_t> windows(kParties * kWindow);
+  for (auto _ : state) {
+    mdrr::ForEachSeedSequence(
+        seeds.data(), seeds.size(), [&](size_t i, const uint32_t* words) {
+          mdrr::FillEnginePrefix(words, kWindow, windows.data() + i * kWindow);
+        });
+    benchmark::DoNotOptimize(windows.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kParties));
+}
+BENCHMARK(BM_PartySeed_Prefix);
 
 }  // namespace
 

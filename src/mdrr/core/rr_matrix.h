@@ -97,7 +97,10 @@ class RrMatrix {
   // the innermost operation of every publication sweep. Precondition
   // u < size() is checked in debug builds only -- callers own the code
   // range (protocol code ranges come from Domain/Dataset invariants).
-  uint32_t Randomize(uint32_t u, Rng& rng) const {
+  // `Source` is Rng or another UniformDraws source (rng.h). Takes at most
+  // two draws unless a uniform-int draw retries.
+  template <typename Source>
+  uint32_t Randomize(uint32_t u, Source& rng) const {
     MDRR_DCHECK_LT(u, size_);
     if (structured_) {
       // Row = (1 - alpha) delta_u + alpha Uniform(r).

@@ -13,8 +13,8 @@
 // through FrequencyTable::Absorb (integer sums commute), so for a fixed
 // (seed, shard_size, rng) the assembled column is bit-identical to the
 // in-process sharded engine for ANY worker count and any worker thread
-// count -- the contract distributed_release_test.cc and the
-// release-distributed bench stage assert.
+// count -- the contract distributed_release_test.cc asserts
+// (DistributedEquality.*MatchesShardedAt124Workers).
 //
 // Failure is fail-closed: any send/recv error, malformed reply, deadline,
 // or worker disconnect poisons the coordinator -- the current and all

@@ -2,12 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <new>
-#include <type_traits>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
@@ -15,15 +9,13 @@
 
 namespace mdrr::protocol {
 
-// Engines live in raw storage and are placement-constructed exactly once
-// (seeded state, no throwaway default seeding); freeing the storage
-// without destructor calls requires triviality.
-static_assert(std::is_trivially_destructible_v<Rng>,
-              "PartyBlock skips Rng destructor calls");
-
 PartyBlock::PartyBlock(const Dataset& dataset, Rng& seeder)
     : num_parties_(dataset.num_rows()),
-      num_attributes_(dataset.num_attributes()) {
+      num_attributes_(dataset.num_attributes()),
+      prefix_size_(
+          std::clamp<size_t>(4 * num_attributes_, 1, kEngineStateWords)),
+      prefixes_(new uint64_t[num_parties_ * prefix_size_]),
+      consumed_(num_parties_, 0) {
   // Row-major record copy: round sweeps read all attributes of a party
   // consecutively, the opposite access pattern of the dataset's columns.
   records_.resize(num_parties_ * num_attributes_);
@@ -40,38 +32,38 @@ PartyBlock::PartyBlock(const Dataset& dataset, Rng& seeder)
   for (size_t i = 0; i < num_parties_; ++i) {
     seeds_[i] = seeder.engine()();
   }
-  // The engine array spans ~2.5 KB per party -- hundreds of megabytes at
-  // protocol scale -- and is written exactly once, in the first sweep.
-  // Demand-faulting it 4 KB at a time can dominate that sweep once the
-  // process carries real RSS, so on Linux the block is aligned to the
-  // transparent-huge-page boundary and advised MADV_HUGEPAGE, cutting
-  // the fault count by the 2 MB / 4 KB ratio. Purely advisory: any
-  // kernel refusal leaves plain pages and identical results.
-  constexpr size_t kHugePage = size_t{1} << 21;
-  const size_t bytes = num_parties_ * sizeof(Rng);
-  rng_storage_.reset(new unsigned char[bytes + kHugePage]);
-  uintptr_t raw = reinterpret_cast<uintptr_t>(rng_storage_.get());
-  uintptr_t aligned = (raw + kHugePage - 1) & ~(kHugePage - 1);
-  rngs_ = reinterpret_cast<Rng*>(aligned);
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  madvise(reinterpret_cast<void*>(aligned), bytes, MADV_HUGEPAGE);
-#endif
 }
 
-void PartyBlock::SeedEngineRange(size_t begin, size_t end) {
-  ForEachSeedSequence(seeds_.data() + begin, end - begin,
-                      [this, begin](size_t offset, auto& seq) {
-                        new (static_cast<void*>(rngs_ + begin + offset))
-                            Rng(seq);
-                      });
-}
-
-void PartyBlock::EnsureEnginesSeeded(size_t shard_size, size_t num_threads) {
-  if (engines_seeded_) return;
-  ParallelChunks(num_parties_, shard_size, num_threads,
-                 [this](size_t /*worker*/, size_t /*shard*/, size_t begin,
-                        size_t end) { SeedEngineRange(begin, end); });
-  engines_seeded_ = true;
+template <typename Fn>
+void PartyBlock::ForEachParty(size_t shard_size, size_t num_threads,
+                              Fn&& fn) {
+  const bool fill = !prefixes_filled_;
+  const size_t k = prefix_size_;
+  ParallelChunks(
+      num_parties_, shard_size, num_threads,
+      [&](size_t worker, size_t /*shard*/, size_t begin, size_t end) {
+        // Fill a lane batch of prefixes, then run those parties while
+        // their prefixes are cache-hot; the lane grouping never changes
+        // any party's draws, so the grain stays load-balancing only.
+        for (size_t group = begin; group < end; group += kSeedLanes) {
+          const size_t group_end = std::min(group + kSeedLanes, end);
+          if (fill) {
+            ForEachSeedSequence(
+                seeds_.data() + group, group_end - group,
+                [&](size_t offset, const uint32_t* words) {
+                  FillEnginePrefix(words, k,
+                                   prefixes_.get() + (group + offset) * k);
+                });
+          }
+          for (size_t i = group; i < group_end; ++i) {
+            EnginePrefixDraws draws(seeds_[i], prefixes_.get() + i * k, k,
+                                    consumed_[i]);
+            fn(worker, i, draws);
+            consumed_[i] = draws.consumed();
+          }
+        }
+      });
+  prefixes_filled_ = true;
 }
 
 void PartyBlock::PublishIndependent(
@@ -86,28 +78,13 @@ void PartyBlock::PublishIndependent(
     column_ptrs[j] = (*columns)[j].data();
   }
   const RrMatrix* mats = matrices.data();
-  const bool seed_now = !engines_seeded_;
-  ParallelChunks(
-      num_parties_, shard_size, num_threads,
-      [&](size_t /*worker*/, size_t /*shard*/, size_t begin, size_t end) {
-        // Seed a lane batch of engines, then publish those parties while
-        // their states are cache-hot; the lane grouping never changes any
-        // party's engine, so the grain stays load-balancing only.
-        size_t group = begin;
-        while (group < end) {
-          size_t group_end = std::min(group + kSeedLanes, end);
-          if (seed_now) SeedEngineRange(group, group_end);
-          for (size_t i = group; i < group_end; ++i) {
-            Rng& rng = rngs_[i];
-            const uint32_t* record = records_.data() + i * m;
-            for (size_t j = 0; j < m; ++j) {
-              column_ptrs[j][i] = mats[j].Randomize(record[j], rng);
-            }
-          }
-          group = group_end;
-        }
-      });
-  engines_seeded_ = true;
+  ForEachParty(shard_size, num_threads,
+               [&](size_t /*worker*/, size_t i, EnginePrefixDraws& draws) {
+                 const uint32_t* record = records_.data() + i * m;
+                 for (size_t j = 0; j < m; ++j) {
+                   column_ptrs[j][i] = mats[j].Randomize(record[j], draws);
+                 }
+               });
 }
 
 ClusterSweepResult PartyBlock::PublishClusters(
@@ -117,7 +94,6 @@ ClusterSweepResult PartyBlock::PublishClusters(
   const size_t num_clusters = clusters.size();
   MDRR_CHECK_EQ(domains.size(), num_clusters);
   MDRR_CHECK_EQ(matrices.size(), num_clusters);
-  EnsureEnginesSeeded(shard_size, num_threads);
 
   // Flatten the cluster structure so the per-party loop runs over plain
   // arrays: member attributes with their mixed-radix strides (the encode
@@ -171,29 +147,26 @@ ClusterSweepResult PartyBlock::PublishClusters(
 
   const RrMatrix* mats = matrices.data();
   const size_t m = num_attributes_;
-  ParallelChunks(
-      num_parties_, shard_size, num_threads,
-      [&](size_t worker, size_t /*shard*/, size_t begin, size_t end) {
+  ForEachParty(
+      shard_size, num_threads,
+      [&](size_t worker, size_t i, EnginePrefixDraws& draws) {
         std::vector<std::vector<int64_t>>& counts = worker_counts[worker];
-        for (size_t i = begin; i < end; ++i) {
-          Rng& rng = rngs_[i];
-          const uint32_t* record = records_.data() + i * m;
-          for (size_t c = 0; c < num_clusters; ++c) {
-            const size_t off = offset[c];
-            const size_t width = cluster_size[c];
-            uint64_t code = 0;
-            for (size_t k = 0; k < width; ++k) {
-              code += member_stride[off + k] * record[member_attr[off + k]];
-            }
-            uint32_t published =
-                mats[c].Randomize(static_cast<uint32_t>(code), rng);
-            if (code_ptr[c] != nullptr) code_ptr[c][i] = published;
-            ++counts[c][published];
-            for (size_t k = 0; k < width; ++k) {
-              decoded_ptr[off + k][i] = static_cast<uint32_t>(
-                  (static_cast<uint64_t>(published) / member_stride[off + k]) %
-                  decode_card[off + k]);
-            }
+        const uint32_t* record = records_.data() + i * m;
+        for (size_t c = 0; c < num_clusters; ++c) {
+          const size_t off = offset[c];
+          const size_t width = cluster_size[c];
+          uint64_t code = 0;
+          for (size_t k = 0; k < width; ++k) {
+            code += member_stride[off + k] * record[member_attr[off + k]];
+          }
+          uint32_t published =
+              mats[c].Randomize(static_cast<uint32_t>(code), draws);
+          if (code_ptr[c] != nullptr) code_ptr[c][i] = published;
+          ++counts[c][published];
+          for (size_t k = 0; k < width; ++k) {
+            decoded_ptr[off + k][i] = static_cast<uint32_t>(
+                (static_cast<uint64_t>(published) / member_stride[off + k]) %
+                decode_card[off + k]);
           }
         }
       });

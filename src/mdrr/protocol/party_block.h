@@ -2,16 +2,17 @@
 //
 // A PartyBlock holds the same n respondents a vector<Party> would -- the
 // same private records, the same per-party RNG streams seeded in id order
-// -- but stores them flat (row-major records, one contiguous engine
-// array) and executes protocol rounds as sweeps over reused buffers
-// instead of per-object calls that return freshly allocated vectors. The
-// technique follows high-throughput agent-simulation runtimes: batch the
-// per-agent work into cache-friendly passes, keep the semantic model
-// (Party) for the spec and as the golden reference.
+// -- but stores them flat (row-major records, and per party a short window
+// of its engine's outputs instead of the 2.5 KB engine) and executes
+// protocol rounds as sweeps over reused buffers instead of per-object
+// calls that return freshly allocated vectors. The technique follows
+// high-throughput agent-simulation runtimes: batch the per-agent work into
+// cache-friendly passes, keep the semantic model (Party) for the spec and
+// as the golden reference.
 //
 // Determinism contract: every publication is bit-identical to driving
 // Party objects through the same rounds, for any shard size and thread
-// count. Party i's engine is a pure function of its seed (drawn serially
+// count. Party i's stream is a pure function of its seed (drawn serially
 // from the session seeder, in id order), each party's draws happen in the
 // same per-party order as Party::PublishIndependent /
 // Party::PublishClusters, and parties' streams are mutually independent,
@@ -54,8 +55,8 @@ class PartyBlock {
   // Materializes parties 0..n-1 of `dataset` (row i becomes party i),
   // drawing each party's seed serially from `seeder` -- the identical
   // seed sequence as constructing Party(i, record_i, seeder.engine()())
-  // in a loop. Engine seeding itself is deferred to the first sweep so it
-  // can run sharded and fused with the round-1 publications.
+  // in a loop. The draw windows are filled in the first sweep, sharded
+  // and fused with its publications.
   PartyBlock(const Dataset& dataset, Rng& seeder);
 
   size_t num_parties() const { return num_parties_; }
@@ -64,9 +65,9 @@ class PartyBlock {
   // Round 1: writes party i's per-attribute publication into
   // columns[j][i] for every attribute j, sharded over `num_threads`
   // workers in chunks of `shard_size` parties. Each columns[j] must
-  // already have size num_parties(). On the first sweep, party engines
-  // are seeded lane-batched (fast_seed.h) immediately before their first
-  // draws, while their state is cache-hot.
+  // already have size num_parties(). On the first sweep, each lane batch
+  // of parties gets its draw window (FillEnginePrefix, fast_seed.h)
+  // immediately before publishing, while the windows are cache-hot.
   void PublishIndependent(const std::vector<RrMatrix>& matrices,
                           size_t shard_size, size_t num_threads,
                           std::vector<std::vector<uint32_t>>* columns);
@@ -87,12 +88,13 @@ class PartyBlock {
   PartyBlock& operator=(const PartyBlock&) = delete;
 
  private:
-  // Seeds engines [begin, end) in place (kSeedLanes at a time); bit-wise
-  // equivalent to Rng(seeds_[i]) per party regardless of grouping.
-  void SeedEngineRange(size_t begin, size_t end);
-
-  // Seeds every engine if no sweep has done so yet (sharded).
-  void EnsureEnginesSeeded(size_t shard_size, size_t num_threads);
+  // Runs fn(worker, party, draws) for every party, sharded over
+  // `num_threads` workers in chunks of `shard_size`, where `draws` (an
+  // EnginePrefixDraws) continues the party's stream; fills the windows on
+  // the first sweep, one lane batch at a time, and keeps each party's
+  // position for the next sweep.
+  template <typename Fn>
+  void ForEachParty(size_t shard_size, size_t num_threads, Fn&& fn);
 
   size_t num_parties_ = 0;
   size_t num_attributes_ = 0;
@@ -100,12 +102,17 @@ class PartyBlock {
   std::vector<uint32_t> records_;
   // Per-party seeds, drawn serially in id order at construction.
   std::vector<uint64_t> seeds_;
-  // Per-party engines, placement-constructed on first use so the ~2.5 KB
-  // mt19937_64 states are written exactly once (no default-seeding pass
-  // over hundreds of megabytes).
-  std::unique_ptr<unsigned char[]> rng_storage_;
-  Rng* rngs_ = nullptr;
-  bool engines_seeded_ = false;
+  // Outputs kept per party: min(4 m, kEngineStateWords). A party makes at
+  // most m + clusters <= 2 m Randomize calls of at most two draws each
+  // save uniform-int rejection retries, so its window refills only on
+  // such a retry or when 4 m exceeds the engine's state size.
+  size_t prefix_size_ = 0;
+  // Party i's window: prefixes_[i * prefix_size_, (i + 1) * prefix_size_),
+  // left unwritten until the first sweep fills it.
+  std::unique_ptr<uint64_t[]> prefixes_;
+  // consumed_[i]: how many outputs of its engine party i has drawn.
+  std::vector<uint32_t> consumed_;
+  bool prefixes_filled_ = false;
 };
 
 }  // namespace mdrr::protocol

@@ -62,12 +62,13 @@ class Party {
 // transcript, bit for bit; pick by cost.
 enum class SessionExecution {
   // The fast path (default): parties stored columnar in a PartyBlock,
-  // engines lane-seeded in sharded batches, rounds executed as
+  // each keeping a short window of its engine's outputs instead of the
+  // engine, filled lane-batched in the first sweep; rounds executed as
   // zero-allocation sweeps with counting and composite-code decode fused
-  // into the round-2 pass. Identical output. At 100k parties on a 4-core
-  // host it took 0.20 s against the party loop's 0.63 s at 4 threads
-  // (3.1x) and 0.74 s against 0.93 s at 1 thread (1.26x): the loop
-  // constructs and seeds every Party serially before any sharding.
+  // into the round-2 pass. Identical output. At 100k Adult parties on a
+  // 4-core host a session took 0.10 s at 4 threads and 0.29-0.41 s at 1
+  // thread, against 0.79-0.96 s for the 1-thread party loop, which
+  // constructs and seeds every Party serially.
   kBatched,
   // The reference semantics: one Party object per respondent, rounds as
   // per-party calls. The batched path is golden-tested against this.

@@ -52,7 +52,9 @@ StatusOr<StreamingSnapshot> ReadStreamingSnapshot(const std::string& path);
 // per emitted window (index, range, reports, released flag, epsilon)
 // followed by the released windows' artifact summaries. Two streaming
 // runs are bit-identical iff their transcripts match -- the replay
-// equality observable used by tests, the bench stage, and mdrr_collectd.
+// equality observable of mdrr_collectd and of the ctest checks
+// StreamingReleaseTest.TranscriptBitIdenticalAcrossIngestThreads and
+// StreamingSnapshotTest.KillResumeMatchesUninterruptedRun.
 std::string PrintStreamWindows(const std::vector<StreamWindow>& windows);
 
 }  // namespace mdrr::release

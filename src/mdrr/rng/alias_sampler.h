@@ -23,7 +23,9 @@ class AliasSampler {
   // Draws an index in [0, size()) with probability proportional to its
   // weight. O(1): one uniform integer plus one Bernoulli. Emptiness is
   // guaranteed at construction, so the per-draw size check is debug-only.
-  size_t Sample(Rng& rng) const {
+  // `Source` is Rng or another UniformDraws source (rng.h).
+  template <typename Source>
+  size_t Sample(Source& rng) const {
     MDRR_DCHECK(!probability_.empty());
     size_t bucket = rng.UniformInt(probability_.size());
     if (rng.UniformDouble() < probability_[bucket]) return bucket;

@@ -13,13 +13,16 @@
 //     once in lane-major layout; the recurrence has no data-dependent
 //     control flow, so every step is an elementwise op over kSeedLanes
 //     words that the compiler vectorizes, and the per-seed dependency
-//     chains overlap. Per-engine seeding drops several-fold, which is
-//     what makes simulating 10^5..10^6 protocol parties (one engine
-//     each) affordable -- see protocol/PartyBlock.
+//     chains overlap. Per-engine seeding drops several-fold.
 //
-// Both paths are golden-tested against std::seed_seq in
-// tests/session_fast_path_test.cc; any divergence is a test failure, not
-// a silent transcript change.
+// A party of the protocol session draws only a few dozen outputs, so
+// protocol/PartyBlock keeps no engine at all: FillEnginePrefix computes
+// the first outputs straight from the seed words, and EnginePrefixDraws
+// serves them (refilling from a real Rng past the stored window).
+//
+// Every path is golden-tested against std::seed_seq and std::mt19937_64
+// in tests/session_fast_path_test.cc; any divergence is a test failure,
+// not a silent transcript change.
 
 #ifndef MDRR_RNG_FAST_SEED_H_
 #define MDRR_RNG_FAST_SEED_H_
@@ -110,14 +113,13 @@ class ReplaySeedSeq {
   size_t count_;
 };
 
-// The one lane-batching walk over a seed range: invokes
-// fn(index, seed_sequence) for every i in [0, count), handing kSeedLanes
-// seeds at a time through GenerateSeedBlock and any tail through
-// FourWordSeedSeq. The sequence passed to fn expands seeds[index]
-// exactly as std::seed_seq{SplitMix64 x 4} would, whichever branch
-// produced it, so each element is a pure function of its own seed and
-// disjoint ranges can be walked concurrently with any grouping. `fn`
-// must accept (size_t, Sseq&) generically (two sequence types occur).
+// The one lane-batching walk over a seed range: invokes fn(index, words)
+// for every i in [0, count), where words[0, kEngineSeedWords) is the
+// std::seed_seq{SplitMix64 x 4} expansion of seeds[index] -- the words
+// Rng(seeds[index]) seeds its engine from. kSeedLanes seeds at a time go
+// through GenerateSeedBlock and any tail through FourWordSeedSeq; either
+// way each block is a pure function of its own seed, so disjoint ranges
+// can be walked concurrently with any grouping.
 template <typename Fn>
 void ForEachSeedSequence(const uint64_t* seeds, size_t count, Fn&& fn) {
   size_t i = 0;
@@ -125,19 +127,65 @@ void ForEachSeedSequence(const uint64_t* seeds, size_t count, Fn&& fn) {
   for (; i + kSeedLanes <= count; i += kSeedLanes) {
     GenerateSeedBlock(seeds + i, block);
     for (size_t l = 0; l < kSeedLanes; ++l) {
-      ReplaySeedSeq replay(block + l * kEngineSeedWords, kEngineSeedWords);
-      fn(i + l, replay);
+      fn(i + l, block + l * kEngineSeedWords);
     }
   }
   for (; i < count; ++i) {
-    FourWordSeedSeq seq(seeds[i]);
-    fn(i, seq);
+    FourWordSeedSeq(seeds[i]).GenerateEngineWords(block);
+    fn(i, block);
   }
 }
 
-// Seeds out[0, count) from seeds[0, count) in order. Bit-identical to
-// `out[i] = Rng(seeds[i])` for every i (golden-tested).
-void SeedRngRange(const uint64_t* seeds, size_t count, Rng* out);
+// The mt19937_64 state size: its first twist yields this many outputs.
+inline constexpr size_t kEngineStateWords = kEngineSeedWords / 2;
+
+// Writes the first `count` outputs (count <= kEngineStateWords) of the
+// mt19937_64 seeded from `words` -- std::mt19937_64 over
+// ReplaySeedSeq(words, kEngineSeedWords) -- to out[0, count) without
+// building the 2.5 KB engine: only the first-twist words those outputs
+// read are computed, after libstdc++'s all-zero-state fix-up.
+void FillEnginePrefix(const uint32_t words[kEngineSeedWords], size_t count,
+                      uint64_t* out);
+
+// A draw source over a stored window of Rng(seed)'s outputs, so a party
+// keeps only the few outputs its protocol consumes instead of an engine.
+// Draws are bit-identical to Rng(seed)'s after the same history.
+class EnginePrefixDraws : public UniformDraws<EnginePrefixDraws> {
+ public:
+  // Continues Rng(seed) after its first `consumed` outputs. window[0,
+  // size) must hold outputs [start, start + size), where start is the
+  // largest multiple of `size` below `consumed` (0 when consumed is 0);
+  // a draw past the window refills it with the next `size` outputs.
+  EnginePrefixDraws(uint64_t seed, uint64_t* window, size_t size,
+                    uint32_t consumed)
+      : seed_(seed),
+        window_(window),
+        size_(size),
+        pos_(consumed == 0 ? 0 : (consumed - 1) % size + 1),
+        start_(consumed - pos_) {}
+
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() {
+    if (pos_ == size_) Refill();
+    return window_[pos_++];
+  }
+
+  EnginePrefixDraws& engine() { return *this; }
+
+  // Outputs of Rng(seed) consumed so far.
+  uint32_t consumed() const { return static_cast<uint32_t>(start_ + pos_); }
+
+ private:
+  void Refill();
+
+  uint64_t seed_;
+  uint64_t* window_;
+  size_t size_;
+  size_t pos_;
+  uint64_t start_;
+};
 
 }  // namespace mdrr
 

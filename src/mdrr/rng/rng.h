@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <random>
-#include <type_traits>
 #include <vector>
 
 #include "mdrr/common/check.h"
@@ -20,38 +19,28 @@ namespace mdrr {
 // `state`. Used for seed expansion and as a tiny standalone generator.
 uint64_t SplitMix64Next(uint64_t& state);
 
-// A seeded 64-bit Mersenne Twister with convenience draws.
-// Not thread-safe; use one Rng per thread.
-class Rng {
+// The library's draw plan over a 64-bit URBG, written once. Rng (over its
+// mt19937_64) and EnginePrefixDraws (over a party's stored engine outputs,
+// fast_seed.h) both inherit it, so RrMatrix::Randomize and
+// AliasSampler::Sample, templates over the source, consume the same engine
+// outputs in the same order from either. `Source::engine()` returns the
+// URBG.
+template <typename Source>
+class UniformDraws {
  public:
-  explicit Rng(uint64_t seed);
-
-  // Seeds from a std-style seed sequence. Rng(seed) is shorthand for Rng
-  // over the four-word SplitMix64 expansion of `seed` (FourWordSeedSeq in
-  // fast_seed.h); this constructor is the hook the batched party-seeding
-  // path uses to install precomputed seed blocks. Excluded for integral
-  // arguments (those mean the seed constructor) and for Rng itself (a
-  // copy from a non-const Rng must pick the copy constructor, not try to
-  // treat the source as a seed sequence).
-  template <typename Sseq,
-            typename = std::enable_if_t<
-                !std::is_convertible_v<Sseq, uint64_t> &&
-                !std::is_same_v<std::remove_cv_t<Sseq>, Rng>>>
-  explicit Rng(Sseq& seq) : engine_(seq) {}
-
   // Uniform on {0, ..., bound - 1}. Precondition: bound > 0.
   // Inline: one draw of this sits inside every randomized-response
   // publication, so the call must vanish into the caller's loop.
   uint64_t UniformInt(uint64_t bound) {
     MDRR_DCHECK_GT(bound, 0u);
     std::uniform_int_distribution<uint64_t> dist(0, bound - 1);
-    return dist(engine_);
+    return dist(static_cast<Source*>(this)->engine());
   }
 
   // Uniform on [0, 1).
   double UniformDouble() {
     std::uniform_real_distribution<double> dist(0.0, 1.0);
-    return dist(engine_);
+    return dist(static_cast<Source*>(this)->engine());
   }
 
   // True with probability p (clamped to [0, 1]). p <= 0 and p >= 1 decide
@@ -61,6 +50,15 @@ class Rng {
     if (p >= 1.0) return true;
     return UniformDouble() < p;
   }
+};
+
+// A seeded 64-bit Mersenne Twister with convenience draws.
+// Not thread-safe; use one Rng per thread.
+class Rng : public UniformDraws<Rng> {
+ public:
+  // Seeds from the four-word SplitMix64 expansion of `seed`
+  // (FourWordSeedSeq in fast_seed.h).
+  explicit Rng(uint64_t seed);
 
   // Draws an index from the (not necessarily normalized) non-negative
   // weight vector by inverse transform. O(n); for repeated draws from the

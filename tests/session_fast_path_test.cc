@@ -1,11 +1,13 @@
 // Golden tests for the batched session fast path: every optimization it
 // layers on top of the per-party reference loop -- the specialized seed
-// sequence, the lane-batched engine seeding, the columnar sweeps with
-// fused counting/decode -- must leave the published transcript bit-wise
+// sequence, the lane-batched seed expansion, the per-party draw windows
+// that stand in for engines, the columnar sweeps with fused
+// counting/decode -- must leave the published transcript bit-wise
 // unchanged.
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,21 +80,103 @@ TEST(FastSeedTest, GenericRequestLengthsMatchStdSeedSeq) {
   }
 }
 
-TEST(FastSeedTest, SeedRngRangeMatchesPerPartyConstruction) {
+TEST(FastSeedTest, SeedWordsMatchPerPartyConstruction) {
   for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
                        size_t{64}, size_t{130}}) {
     std::vector<uint64_t> seeds(count);
     Rng seed_source(11 + count);
     for (uint64_t& s : seeds) s = seed_source.engine()();
 
-    std::vector<Rng> batch(count, Rng(0));
-    SeedRngRange(seeds.data(), count, batch.data());
-    for (size_t i = 0; i < count; ++i) {
-      Rng reference(seeds[i]);
-      for (int draw = 0; draw < 350; ++draw) {
-        ASSERT_EQ(reference.engine()(), batch[i].engine()())
-            << "count " << count << " rng " << i << " draw " << draw;
+    size_t visited = 0;
+    ForEachSeedSequence(
+        seeds.data(), count, [&](size_t i, const uint32_t* words) {
+          ASSERT_EQ(i, visited++);
+          ReplaySeedSeq replay(words, kEngineSeedWords);
+          std::mt19937_64 batch(replay);
+          Rng reference(seeds[i]);
+          for (int draw = 0; draw < 350; ++draw) {
+            ASSERT_EQ(reference.engine()(), batch())
+                << "count " << count << " rng " << i << " draw " << draw;
+          }
+        });
+    EXPECT_EQ(visited, count);
+  }
+}
+
+// --- Draw prefixes: a party's first engine outputs without the engine. ---
+
+TEST(FastSeedTest, EnginePrefixMatchesSeededEngine) {
+  // One lane batch through GenerateSeedBlock plus a tail of three seeds
+  // through FourWordSeedSeq.
+  std::vector<uint64_t> seeds(kSeedLanes + 3);
+  Rng seed_source(41);
+  for (uint64_t& s : seeds) s = seed_source.engine()();
+  size_t visited = 0;
+  ForEachSeedSequence(
+      seeds.data(), seeds.size(), [&](size_t i, const uint32_t* words) {
+        ++visited;
+        // 156 and 157 straddle the first output that reads a word the
+        // twist has already rewritten; 312 reaches the last, which reads
+        // the new word 0.
+        for (size_t count : {size_t{1}, size_t{32}, size_t{156}, size_t{157},
+                             kEngineStateWords}) {
+          ReplaySeedSeq replay(words, kEngineSeedWords);
+          std::mt19937_64 reference(replay);
+          Rng by_seed(seeds[i]);
+          std::vector<uint64_t> prefix(count);
+          FillEnginePrefix(words, count, prefix.data());
+          for (size_t d = 0; d < count; ++d) {
+            const uint64_t want = reference();
+            ASSERT_EQ(want, prefix[d])
+                << "seed " << i << " count " << count << " draw " << d;
+            ASSERT_EQ(by_seed.engine()(), want) << "seed " << i;
+          }
+        }
+      });
+  EXPECT_EQ(visited, seeds.size());
+}
+
+TEST(FastSeedTest, AllZeroSeedWordsTakeTheEngineFixUp) {
+  // Bits of word 0 below the engine's mask do not count: with them set
+  // the state is still all-zero to std::mt19937_64::seed.
+  for (uint32_t low_bits : {0u, 0x7fffffffu}) {
+    std::vector<uint32_t> words(kEngineSeedWords, 0);
+    words[0] = low_bits;
+    ReplaySeedSeq replay(words.data(), kEngineSeedWords);
+    std::mt19937_64 reference(replay);
+    std::vector<uint64_t> prefix(kEngineStateWords);
+    FillEnginePrefix(words.data(), prefix.size(), prefix.data());
+    // An all-zero state would twist to all-zero outputs.
+    EXPECT_NE(prefix[0], 0u);
+    for (size_t d = 0; d < prefix.size(); ++d) {
+      ASSERT_EQ(reference(), prefix[d]) << "low bits " << low_bits
+                                        << " draw " << d;
+    }
+  }
+}
+
+TEST(FastSeedTest, DrawsPastThePrefixRefillFromRng) {
+  const uint64_t seed = 987654321;
+  uint32_t words[kEngineSeedWords];
+  FourWordSeedSeq(seed).GenerateEngineWords(words);
+  for (size_t size : {size_t{1}, size_t{7}, size_t{32}, kEngineStateWords}) {
+    std::vector<uint64_t> window(size);
+    FillEnginePrefix(words, size, window.data());
+    Rng reference(seed);
+    uint32_t consumed = 0;
+    // Sweeps of growing length, each resuming from the stored count as
+    // PartyBlock's rounds do, through raw outputs and the draw plan; 700
+    // outputs in all cross the engine's own twist boundary twice.
+    for (size_t sweep = 0; consumed < 700; ++sweep) {
+      EnginePrefixDraws draws(seed, window.data(), size, consumed);
+      for (size_t d = 0; d < 4 * sweep + 1; ++d) {
+        ASSERT_EQ(reference.engine()(), draws())
+            << "size " << size << " consumed " << draws.consumed();
+        ASSERT_EQ(reference.UniformInt(3 + d), draws.UniformInt(3 + d));
+        ASSERT_EQ(reference.UniformDouble(), draws.UniformDouble());
+        ASSERT_EQ(reference.Bernoulli(0.3), draws.Bernoulli(0.3));
       }
+      consumed = draws.consumed();
     }
   }
 }
@@ -265,6 +349,51 @@ TEST(SessionFastPathTest, BatchedMatchesPartyLoopOnAdultSample) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   options.execution = SessionExecution::kBatched;
   auto batched = RunDistributedSession(adult, options);
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  ExpectSessionsEqual(reference.value(), batched.value());
+}
+
+TEST(SessionFastPathTest, BatchedMatchesPartyLoopWhenEveryPartyRefills) {
+  // 200 attributes: each party keeps kEngineStateWords outputs, and every
+  // Randomize call of either round draws at least once, so m + clusters
+  // calls past kEngineStateWords force a refill in every party.
+  const size_t n = 300;
+  const size_t m = 200;
+  std::vector<Attribute> schema;
+  std::vector<std::vector<uint32_t>> cols(m);
+  Rng rng(57);
+  for (size_t j = 0; j < m; ++j) {
+    const size_t r = 2 + j % 3;
+    Attribute attribute{"A" + std::to_string(j), AttributeType::kNominal, {}};
+    for (size_t v = 0; v < r; ++v) {
+      attribute.categories.push_back(std::to_string(v));
+    }
+    schema.push_back(std::move(attribute));
+    for (size_t i = 0; i < n; ++i) {
+      // Every tenth attribute copies its predecessor 90% of the time, so
+      // some clusters merge.
+      const uint32_t copy = j % 10 == 1 ? cols[j - 1][i] % r : r;
+      cols[j].push_back(copy < r && rng.Bernoulli(0.9)
+                            ? copy
+                            : static_cast<uint32_t>(rng.UniformInt(r)));
+    }
+  }
+  Dataset data(schema, std::move(cols));
+  SessionOptions options;
+  options.keep_probability = 0.6;
+  options.round1_keep_probability = 0.6;
+  options.clustering = ClusteringOptions{20.0, 0.3};
+  options.seed = 12;
+  options.num_threads = 2;
+  options.shard_size = 37;
+
+  options.execution = SessionExecution::kPartyLoop;
+  auto reference = RunDistributedSession(data, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(m + reference.value().clusters.size(), kEngineStateWords);
+  ASSERT_LT(reference.value().clusters.size(), m);
+  options.execution = SessionExecution::kBatched;
+  auto batched = RunDistributedSession(data, options);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   ExpectSessionsEqual(reference.value(), batched.value());
 }

@@ -16,7 +16,11 @@ per-layer rows.
 The exit code is non-zero when any run fails or reports an incorrect
 result, or when a head median is worse than the base median by more than
 both the metric's BENCHMARK.json bound (relative to the base median) and
-3x the base interquartile range.
+3x the base interquartile range (FLAG). A head median worse by more than
+the bound but not by more than 3x the base IQR, because that spread itself
+exceeds the bound, is marked NOISY and listed under "unresolved": the
+pairs can neither show nor rule out a regression there. It does not fail
+the gate.
 """
 
 import json
@@ -76,7 +80,7 @@ def main():
     report = {"base": commit_of(base), "head": commit_of(head),
               "seeds": list(SEEDS), "run_seconds": seconds,
               "iqr_factor": IQR_FACTOR, "workloads": []}
-    failed, flagged = [], []
+    failed, flagged, unresolved = [], [], []
 
     for workload in [w["name"] for w in spec["workloads"]]:
         samples = {"base": [], "head": []}
@@ -106,13 +110,17 @@ def main():
             worse = h["median"] - b["median"]
             if metric["better"] == "higher":
                 worse = -worse
-            flag = (worse > metric["bound"] * abs(b["median"]) and
-                    worse > IQR_FACTOR * (b["q3"] - b["q1"]))
+            past_bound = worse > metric["bound"] * abs(b["median"])
+            flag = past_bound and worse > IQR_FACTOR * (b["q3"] - b["q1"])
+            noisy = past_bound and not flag
             if flag:
                 flagged.append("%s/%s" % (workload, name))
+            elif noisy:
+                unresolved.append("%s/%s" % (workload, name))
             rows.append({"name": name, "unit": metric["unit"],
                          "better": metric["better"], "bound": metric["bound"],
                          "base": b, "head": h, "flagged": flag,
+                         "noisy": noisy,
                          "change": (h["median"] / b["median"] - 1.0
                                     if b["median"] else None)})
         per_layer = ([{"name": k, "unit": v["unit"], "value": v["value"]}
@@ -122,6 +130,7 @@ def main():
                                     "per_layer": per_layer})
 
     report["failed_runs"], report["flagged"] = failed, flagged
+    report["unresolved"] = unresolved
     report["ok"] = not failed and not flagged
     with open(out, "w") as f:
         json.dump(report, f, indent=1)
@@ -138,11 +147,13 @@ def main():
             print("%-24s %-16s %14.6g %12.3g %14.6g %12.3g %8s  %s" % (
                 w["name"], row["name"], b["median"], b["q3"] - b["q1"],
                 h["median"], h["q3"] - h["q1"], change,
-                "FLAG" if row["flagged"] else ""))
+                "FLAG" if row["flagged"] else
+                "NOISY" if row["noisy"] else ""))
     for what in failed:
         print("failed run: " + what)
-    print("ok" if report["ok"] else
-          "%d flagged, %d failed run(s)" % (len(flagged), len(failed)))
+    print("%s: %d flagged, %d noisy, %d failed run(s)" % (
+        "ok" if report["ok"] else "FAIL", len(flagged), len(unresolved),
+        len(failed)))
     return 0 if report["ok"] else 1
 
 
